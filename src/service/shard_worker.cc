@@ -180,7 +180,7 @@ bool ShardWorker::TryPushChunk(Chunk&& chunk) {
                                              std::memory_order_relaxed)) {
         cell.chunk = std::move(chunk);
         // seq_cst publish: pairs with the worker's park-protocol RingReady
-        // load (Dekker — see PublishAccepted).
+        // load (Dekker — see WakeIfParked).
         cell.seq.store(pos + 1, std::memory_order_seq_cst);
         return true;
       }
@@ -213,8 +213,7 @@ bool ShardWorker::RingReady() const {
   return cell.seq.load(std::memory_order_seq_cst) == dequeue_pos_ + 1;
 }
 
-void ShardWorker::PublishAccepted(std::size_t k) {
-  submitted_.fetch_add(k, std::memory_order_seq_cst);
+void ShardWorker::WakeIfParked() {
   // Wakeup coalescing (Dekker): the producer published its cell seq
   // (seq_cst) before this load; the worker sets parked_ (seq_cst) before
   // its RingReady check. Whichever ran second sees the other's write, so
@@ -227,7 +226,7 @@ void ShardWorker::PublishAccepted(std::size_t k) {
 }
 
 void ShardWorker::NotifySpaceFreed() {
-  // Same Dekker shape as PublishAccepted: producers register in
+  // Same Dekker shape as WakeIfParked: producers register in
   // space_waiters_ (seq_cst) before re-checking the budget; the worker
   // released budget (seq_cst) before this load.
   if (space_waiters_.load(std::memory_order_seq_cst) > 0) {
@@ -270,7 +269,7 @@ std::size_t ShardWorker::OfferBatch(std::span<const Edge> edges) {
     ReleaseBudget(take);
     return 0;
   }
-  PublishAccepted(take);
+  WakeIfParked();
   return take;
 }
 
@@ -294,7 +293,7 @@ Status ShardWorker::SubmitRetire(Timestamp horizon) {
     chunk.is_retire = true;
     chunk.retire_horizon = horizon;
     if (TryPushChunk(std::move(chunk))) {
-      PublishAccepted(1);
+      WakeIfParked();
       return Status::OK();
     }
     ReleaseBudget(1);
@@ -315,7 +314,6 @@ Status ShardWorker::SubmitRetire(Timestamp horizon) {
       chunk.is_retire = true;
       chunk.retire_horizon = horizon;
       if (TryPushChunk(std::move(chunk))) {
-        submitted_.fetch_add(1, std::memory_order_seq_cst);
         work_cv_.notify_one();
         break;
       }
@@ -365,7 +363,7 @@ Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
       Chunk chunk = moved_owned ? Chunk(std::move(*owned))
                                 : Chunk(edges.subspan(0, take));
       if (TryPushChunk(std::move(chunk))) {
-        PublishAccepted(take);
+        WakeIfParked();
         done = take;
         if (accepted != nullptr) *accepted = done;
         if (done == edges.size()) return Status::OK();
@@ -405,8 +403,7 @@ Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
       Chunk chunk(edges.subspan(done, take));
       if (TryPushChunk(std::move(chunk))) {
         // Already under queue_mutex_ — notify the worker directly instead
-        // of PublishAccepted's lock-taking coalesced wakeup.
-        submitted_.fetch_add(take, std::memory_order_seq_cst);
+        // of WakeIfParked's lock-taking coalesced wakeup.
         work_cv_.notify_one();
         done += take;
         if (accepted != nullptr) *accepted = done;
@@ -428,27 +425,30 @@ Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
 
 void ShardWorker::Drain() {
   std::unique_lock<std::mutex> lock(queue_mutex_);
-  const std::uint64_t target = submitted_.load(std::memory_order_seq_cst);
-  if (exact_through_ >= target || worker_exited_) return;
-  // The worker flushes the benign buffers and republishes only while a
+  // Every chunk whose Submit returned before this call holds a ring cell
+  // below the claim cursor; a cell claimed but not yet published belongs
+  // to a concurrent Submit, whose producer publishes it momentarily.
+  const std::uint64_t target = enqueue_pos_.load(std::memory_order_seq_cst);
+  if (exact_pos_ >= target || worker_exited_) return;
+  // The worker folds the benign buffers and republishes only while a
   // drain waiter is registered (exactness on demand keeps edge-grouping
   // amortization intact between drains), so wake it up.
   ++drain_waiters_;
   work_cv_.notify_one();
   drain_cv_.wait(lock, [this, target] {
-    return exact_through_ >= target || worker_exited_;
+    return exact_pos_ >= target || worker_exited_;
   });
   --drain_waiters_;
 }
 
 bool ShardWorker::DrainFor(std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
-  const std::uint64_t target = submitted_.load(std::memory_order_seq_cst);
-  if (exact_through_ >= target || worker_exited_) return true;
+  const std::uint64_t target = enqueue_pos_.load(std::memory_order_seq_cst);
+  if (exact_pos_ >= target || worker_exited_) return true;
   ++drain_waiters_;
   work_cv_.notify_one();
   const bool reached = drain_cv_.wait_for(lock, timeout, [this, target] {
-    return exact_through_ >= target || worker_exited_;
+    return exact_pos_ >= target || worker_exited_;
   });
   --drain_waiters_;
   return reached;
@@ -979,16 +979,22 @@ void ShardWorker::PublishArgmaxLocked() {
 #endif
 }
 
-void ShardWorker::DetectAndPublish(Partition& p) {
+void ShardWorker::FoldAndPublish(Partition& p) {
   // Caller holds detector_mutex_.
   if (p.spade.PendingBenignEdges() > 0) {
-    // Detect() is about to fold the benign buffer in; the replayed history
-    // must flush at exactly this point to stay bit-identical (the flush
-    // changes the graph, and state-dependent semantics weigh later edges
-    // against it).
+    // The fold below changes the graph, and state-dependent semantics weigh
+    // later edges against it: the replayed history must flush at exactly
+    // this point to stay bit-identical.
     AppendDeltaRecord(p, DeltaRecord::Flush());
+    SPADE_CHECK(p.spade.Flush().ok());
   }
-  Community community = p.spade.Detect();
+  PublishLocked(p);
+}
+
+void ShardWorker::PublishLocked(Partition& p) {
+  // Caller holds detector_mutex_. Benign-buffered edges stay buffered: by
+  // Lemma 4.4 they cannot have changed the community the peel state holds.
+  Community community = p.spade.peel_state().DetectCommunity();
   p.since_detect = 0;
   detections_.fetch_add(1, std::memory_order_relaxed);
   std::vector<VertexId> sorted = SortedMembers(community);
@@ -1012,12 +1018,11 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
     Partition* p = PartitionForLocked(edge);
     if (p == nullptr) {
       // Routed here under a stale partition-map entry (the partition moved
-      // away). The edge stays this worker's responsibility — and is NOT
-      // yet counted as consumed — until the current owner accepts it.
+      // away). The edge stays this worker's responsibility — and holds
+      // back the drain cursor — until the current owner accepts it.
       forward_backlog_.push_back(edge);
       return false;
     }
-    ++consumed_;
     double applied = 0;
     const Status s = p->spade.ApplyEdge(edge, &applied);
     if (s.ok()) {
@@ -1034,12 +1039,14 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
       processed_.fetch_add(1, std::memory_order_relaxed);
       ++p->since_detect;
       ++p->recent_load;
-      // An urgent edge flushed the benign buffer inside ApplyEdge;
-      // detect right away so moderators hear about new fraudsters
-      // immediately.
+      // An urgent edge (or the buffer cap) folded the benign buffer inside
+      // ApplyEdge: publish right away so moderators hear about new
+      // fraudsters immediately. The detect_every cadence only republishes;
+      // folding a still-benign buffer here would cost a reorder that by
+      // Lemma 4.4 cannot change the community.
       if (p->spade.PendingBenignEdges() == 0 ||
           p->since_detect >= options_.detect_every) {
-        DetectAndPublish(*p);
+        PublishLocked(*p);
         alerts = TakePendingAlertsLocked();
       }
     } else {
@@ -1078,32 +1085,19 @@ void ShardWorker::FlushForwardBacklog() {
   if (!forward_backlog_.empty()) {
     if (!forward_) {
       // No forwarding wired but a partition moved away regardless — a
-      // misconfiguration; dropping (with accounting) beats wedging Drain.
+      // misconfiguration; dropping (with a warning) beats wedging Drain.
       SPADE_LOG_WARNING() << "ShardWorker: dropping "
                           << forward_backlog_.size()
                           << " edges for unowned partitions (no forward fn)";
-      std::lock_guard<std::mutex> lock(detector_mutex_);
-      consumed_ += forward_backlog_.size();
       forward_backlog_.clear();
     } else {
       const std::size_t accepted = forward_(std::span<const Edge>(
           forward_backlog_.data(), forward_backlog_.size()));
-      if (accepted > 0) {
-        forward_backlog_.erase(forward_backlog_.begin(),
-                               forward_backlog_.begin() +
-                                   static_cast<std::ptrdiff_t>(accepted));
-        std::lock_guard<std::mutex> lock(detector_mutex_);
-        consumed_ += accepted;
-      }
+      forward_backlog_.erase(forward_backlog_.begin(),
+                             forward_backlog_.begin() +
+                                 static_cast<std::ptrdiff_t>(accepted));
     }
   }
-  // Publish disposal progress so drain predicates see it without waiting
-  // for the next round end.
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    consumed_q_ = consumed_;
-  }
-  drain_cv_.notify_all();
 }
 
 void ShardWorker::MakeExact() {
@@ -1112,7 +1106,7 @@ void ShardWorker::MakeExact() {
     std::lock_guard<std::mutex> apply_lock(detector_mutex_);
     for (auto& p : parts_) {
       if (p->since_detect > 0 || p->spade.PendingBenignEdges() > 0) {
-        DetectAndPublish(*p);
+        FoldAndPublish(*p);
       }
     }
     alerts = TakePendingAlertsLocked();
@@ -1122,12 +1116,11 @@ void ShardWorker::MakeExact() {
   // cannot be exact until the owner accepts it (the timed park retries).
   if (!forward_backlog_.empty()) return;
   {
+    // Every popped cell is applied (or forwarded) and now folded in; cells
+    // still in the ring were published after the pop and belong to a later
+    // drain target.
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    // Only an empty ring makes the snapshot exact; a racing Submit defers
-    // exactness to the next round.
-    if (queued_edges_.load(std::memory_order_seq_cst) == 0) {
-      exact_through_ = consumed_q_;
-    }
+    exact_pos_ = dequeue_pos_;
   }
   drain_cv_.notify_all();
 }
@@ -1175,15 +1168,14 @@ void ShardWorker::WorkerLoop() {
       bool exit_loop = false;
       {
         std::unique_lock<std::mutex> lock(queue_mutex_);
-        // Park protocol (Dekker with PublishAccepted): set parked_ first,
+        // Park protocol (Dekker with WakeIfParked): set parked_ first,
         // then let the wait predicate re-check the ring. A producer that
         // published before the flag was set is seen by the predicate; one
         // that published after it sees the flag and notifies under the
         // mutex.
         parked_.store(true, std::memory_order_seq_cst);
         const auto ready = [this] {
-          return stopping_ || RingReady() ||
-                 (drain_waiters_ > 0 && exact_through_ < consumed_q_);
+          return stopping_ || RingReady() || ExactnessWantedLocked();
         };
         if (!forward_backlog_.empty()) {
           // Timed park: the backlog's forward target was full or mid-move;
@@ -1208,7 +1200,7 @@ void ShardWorker::WorkerLoop() {
         } else {
           // A Drain() waiter needs the snapshot brought up to date (flush
           // buffered benign edges, republish); no new edges to apply.
-          make_exact = drain_waiters_ > 0 && exact_through_ < consumed_q_;
+          make_exact = ExactnessWantedLocked();
         }
       }
       if (exit_loop) break;
@@ -1259,7 +1251,6 @@ void ShardWorker::WorkerLoop() {
       std::size_t retired_now = 0;
       {
         std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-        ++consumed_;  // the marker's one unit of queue budget
         for (auto& p : parts_) {
           // Pop the expired prefix oldest-first. The log is
           // arrival-ordered, so an out-of-timestamp-order edge shields the
@@ -1290,7 +1281,7 @@ void ShardWorker::WorkerLoop() {
             // Deletion can shrink the community or its density —
             // republish (and alert) right away rather than waiting out
             // detect_every.
-            DetectAndPublish(*p);
+            FoldAndPublish(*p);
           }
         }
         if (retired_now > 0) {
@@ -1309,8 +1300,8 @@ void ShardWorker::WorkerLoop() {
                 .count()),
         std::memory_order_relaxed);
 
-    // Round-end exactness: every partition detected-and-flushed, and no
-    // backlogged edge awaiting its owner.
+    // Round-end exactness: every partition published with nothing
+    // buffered, and no backlogged edge awaiting its owner.
     bool exact_after_batch = forward_backlog_.empty();
     if (exact_after_batch) {
       std::lock_guard<std::mutex> apply_lock(detector_mutex_);
@@ -1321,32 +1312,33 @@ void ShardWorker::WorkerLoop() {
         }
       }
     }
+    bool make_exact = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
-      consumed_q_ = consumed_;
-      // Cheap advance: if the batch happened to end on a fresh detection,
-      // the published snapshot is already exact and a later Drain() needs
-      // no worker round-trip. Otherwise exactness is produced on demand by
-      // the MakeExact branch above.
-      if (exact_after_batch &&
-          queued_edges_.load(std::memory_order_seq_cst) == 0) {
-        exact_through_ = consumed_q_;
-      }
+      // Cheap advance: if the batch happened to end on a fresh publication
+      // with nothing buffered, the snapshot is already exact and a later
+      // Drain() needs no worker round-trip.
+      if (exact_after_batch) exact_pos_ = dequeue_pos_;
+      // A Drain() waiter under sustained traffic: the ring may never run
+      // empty, so produce exactness now rather than at the next park.
+      make_exact = ExactnessWantedLocked();
     }
-    drain_cv_.notify_all();
+    if (make_exact) {
+      MakeExact();
+    } else {
+      drain_cv_.notify_all();
+    }
   }
 
-  // Shutdown: hand off (or, failing that, drop) any backlogged edges so
-  // accounting closes out — a forward target that is itself stopping may
-  // refuse them, and a stopped fleet has nowhere better to put them.
+  // Shutdown: hand off (or, failing that, drop) any backlogged edges — a
+  // forward target that is itself stopping may refuse them, and a stopped
+  // fleet has nowhere better to put them.
   if (!forward_backlog_.empty()) {
     FlushForwardBacklog();
     if (!forward_backlog_.empty()) {
       SPADE_LOG_WARNING() << "ShardWorker exiting with "
                           << forward_backlog_.size()
                           << " unforwardable edges (dropped)";
-      std::lock_guard<std::mutex> lock(detector_mutex_);
-      consumed_ += forward_backlog_.size();
       forward_backlog_.clear();
     }
   }
@@ -1358,7 +1350,7 @@ void ShardWorker::WorkerLoop() {
       std::lock_guard<std::mutex> apply_lock(detector_mutex_);
       for (auto& p : parts_) {
         if (p->since_detect > 0 || p->spade.PendingBenignEdges() > 0) {
-          DetectAndPublish(*p);
+          FoldAndPublish(*p);
         }
       }
       alerts = TakePendingAlertsLocked();
@@ -1368,7 +1360,7 @@ void ShardWorker::WorkerLoop() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     worker_exited_ = true;
-    exact_through_ = consumed_;
+    exact_pos_ = dequeue_pos_;
   }
   drain_cv_.notify_all();
   space_cv_.notify_all();

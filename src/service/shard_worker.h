@@ -30,9 +30,8 @@
 // worker does NOT own (it was routed under a stale partition-map entry
 // while the partition moved) goes to a worker-local forward backlog and is
 // re-submitted to the current owner via the service-provided ForwardFn —
-// applied exactly once, at the owner. Edges are counted as consumed at
-// their final disposal (local apply, or accepted forward), and the drain
-// cursor only advances while the backlog is empty, so Drain() still means
+// applied exactly once, at the owner. The drain cursor (a ring position)
+// only advances while the backlog is empty, so Drain() still means
 // "everything this worker accepted has been applied somewhere or handed to
 // its owner".
 //
@@ -47,17 +46,19 @@
 // (the snapshot is taken first), so a slow moderator callback can delay the
 // next detection but never blocks producers or readers.
 //
-// Snapshot-publication protocol (DESIGN.md §4.2): the worker republishes on
-// every detection (urgent flush or detect_every cadence). Exactness is
-// produced on demand: a Drain() waiter registers itself and wakes the
-// worker, which flushes any buffered benign edges, republishes, and
+// Snapshot-publication protocol (DESIGN.md §4.2): the worker publishes
+// after every urgent edge (which folds the benign buffer inside
+// Spade::ApplyEdge) and republishes at least every `detect_every` edges.
+// The cadence never folds: benign-buffered edges cannot have changed the
+// community (Lemma 4.4), so it re-reads the cached one. The buffer folds
+// only on an urgent edge, at SpadeOptions::max_benign_buffer, before a
+// window retire, and on demand for exactness: a Drain() waiter registers
+// itself and wakes the worker, which folds every buffer, republishes, and
 // advances the drain cursor — so Drain() returning implies the published
-// snapshot reflects every edge submitted before the Drain() call, while an
-// undrained worker keeps its edge-grouping amortization instead of
-// flushing every time its queue momentarily empties. While the worker is
-// busy, the snapshot may trail the stream by at most the in-flight batch
-// plus `detect_every` edges (all of them benign-buffered, which by Lemma
-// 4.4 cannot have improved the community).
+// snapshot reflects every edge submitted before the Drain() call. Between
+// demands the benign buffer can grow to the cap; under state-dependent
+// semantics (FD) a longer buffer weighs later edges against a staler graph,
+// identically live and on chain replay (the fold points are logged).
 
 #pragma once
 
@@ -140,8 +141,12 @@ using ForwardFn = std::function<std::size_t(std::span<const Edge>)>;
 /// Per-shard service configuration (shared by DetectionService and every
 /// shard of a ShardedDetectionService).
 struct DetectionServiceOptions {
-  /// Detect (and possibly alert) after at most this many applied edges even
-  /// if no urgent edge forced a flush.
+  /// Republish (and possibly alert) after at most this many applied edges
+  /// even if no urgent edge arrived. A cadence hit does NOT fold the benign
+  /// buffer: by Lemma 4.4 buffered edges cannot change the community, so it
+  /// republishes the partition's cached one. The buffer folds on an urgent
+  /// edge, at SpadeOptions::max_benign_buffer, before a window retire, and
+  /// on every exactness demand (Drain, checkpoints, stitching, shutdown).
   std::size_t detect_every = 256;
   /// Bound on edges accepted but not yet taken off the handoff ring by the
   /// worker. The ring also has a bounded number of slabs
@@ -356,14 +361,9 @@ class ShardWorker {
   /// Copy of one partition's window log (arrival order, applied weights).
   std::vector<Edge> PartitionWindowEdges(std::size_t pid) const;
 
-  /// Detections (Detect + snapshot publications) run so far (lock-free).
+  /// Snapshot publications (fold or cadence republish) so far (lock-free).
   std::uint64_t DetectionsRun() const {
     return detections_.load(std::memory_order_relaxed);
-  }
-
-  /// Edges accepted (published into the ring) so far — the Drain target.
-  std::uint64_t Submitted() const {
-    return submitted_.load(std::memory_order_seq_cst);
   }
 
   /// Edges accepted but not yet taken off the ring by the worker (relaxed
@@ -602,16 +602,24 @@ class ShardWorker {
   /// Worker thread only: is the next ring cell published? (Also evaluated
   /// inside the worker's own condvar predicate — never by other threads.)
   bool RingReady() const;
-  /// Counts the chunk as accepted and wakes the worker iff it is parked.
-  void PublishAccepted(std::size_t k);
+  /// Wakes the worker iff it is parked (after a chunk was published).
+  void WakeIfParked();
   /// Wakes blocked producers iff any are registered.
   void NotifySpaceFreed();
 
-  /// The old make-exact protocol: flush + republish for a Drain waiter,
-  /// then advance the drain cursor if the ring stayed empty (and the
-  /// forward backlog is empty — a backlogged edge is not yet applied
-  /// anywhere).
+  /// Make-exact protocol for a Drain waiter: fold + republish every
+  /// partition, then advance the drain cursor over every popped cell
+  /// (unless the forward backlog is nonempty — a backlogged edge is not
+  /// yet applied anywhere).
   void MakeExact();
+
+  /// Worker thread, queue_mutex_ held: a Drain() waiter is registered, the
+  /// snapshot trails the popped cells, and no backlogged edge blocks
+  /// exactness — so MakeExact would advance the cursor.
+  bool ExactnessWantedLocked() const {
+    return drain_waiters_ > 0 && exact_pos_ < dequeue_pos_ &&
+           forward_backlog_.empty();
+  }
 
   /// Looks up the owned partition for an edge (detector mutex held):
   /// partition_of_ -> pid -> ownership table, or the sole partition in
@@ -653,10 +661,16 @@ class ShardWorker {
   /// mutex held). An empty worker publishes an empty community.
   void PublishArgmaxLocked();
 
-  /// Flushes + detects one partition, refreshes the published snapshot,
-  /// queues an alert if the partition's community changed (detector mutex
-  /// held; the caller fires pending alerts after unlocking).
-  void DetectAndPublish(Partition& p);
+  /// Folds one partition's benign buffer (logging a flush marker so chain
+  /// replay folds at the same point), then PublishLocked. The exactness
+  /// paths (MakeExact, shutdown) and the retire pass use it.
+  void FoldAndPublish(Partition& p);
+
+  /// Re-reads one partition's community from its peel state WITHOUT
+  /// folding the benign buffer, refreshes the published snapshot, and
+  /// queues an alert if the community changed (detector mutex held; the
+  /// caller fires pending alerts after unlocking). The apply path uses it.
+  void PublishLocked(Partition& p);
 
   /// Moves out queued alerts (detector mutex held).
   std::vector<std::shared_ptr<const Community>> TakePendingAlertsLocked() {
@@ -692,8 +706,6 @@ class ShardWorker {
   /// fold (see TakeRecentHighWater): ClaimBudget CAS-maxes the recent one.
   std::atomic<std::size_t> queue_hwm_recent_{0};
   std::atomic<std::size_t> queue_hwm_total_{0};
-  /// Edges accepted (published) by Submit/SubmitBatch — the Drain target.
-  std::atomic<std::uint64_t> submitted_{0};
   /// Worker is (about to be) asleep on work_cv_; producers notify only
   /// when set (wakeup coalescing).
   std::atomic<bool> parked_{false};
@@ -710,9 +722,11 @@ class ShardWorker {
   std::condition_variable space_cv_;  // signals blocked producers
   bool stopping_ = false;
   bool worker_exited_ = false;
-  std::size_t drain_waiters_ = 0;    // threads parked in Drain()
-  std::uint64_t consumed_q_ = 0;     // mirror of consumed_ for predicates
-  std::uint64_t exact_through_ = 0;  // edges reflected in an exact snapshot
+  std::size_t drain_waiters_ = 0;  // threads parked in Drain()
+  /// Ring cells below this position are applied (or forwarded) and
+  /// reflected in the published snapshot; Drain() waits for it to pass
+  /// the claim cursor it read.
+  std::uint64_t exact_pos_ = 0;
 
   // --- partitions, touched only by the worker thread (or by Save/Restore/
   // Detach while the worker is parked in its queue wait; detector_mutex_
@@ -725,8 +739,7 @@ class ShardWorker {
   std::vector<Partition*> by_pid_;
   PartitionOfFn partition_of_;
   ForwardFn forward_;
-  std::uint64_t consumed_ = 0;  // edges disposed of (applied or forwarded)
-  // Set by DetectAndPublish when a partition's community changed; the
+  // Set by PublishLocked when a partition's community changed; the
   // worker moves them out and fires callbacks after releasing
   // detector_mutex_.
   std::vector<std::shared_ptr<const Community>> pending_alerts_;

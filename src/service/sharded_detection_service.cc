@@ -442,22 +442,17 @@ Status ShardedDetectionService::SubmitBatch(std::span<const Edge> raw_edges,
   return first_error;
 }
 
-std::uint64_t ShardedDetectionService::TotalSubmitted() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->Submitted();
-  return total;
-}
-
 void ShardedDetectionService::Drain() {
   // Forwarding means one pass is not enough: an edge that raced a
   // partition move re-enters the NEW owner's queue, possibly after that
   // worker's Drain already returned. Iterate to a fixpoint — when a full
-  // pass completes and the fleet-wide submitted count did not move, no
-  // forwarded edge is in flight anywhere.
+  // pass completes and no edge was forwarded during it, no forwarded edge
+  // is in flight anywhere. Keyed on forwards, not on submissions, so a
+  // producer that keeps submitting cannot keep the loop spinning.
   for (;;) {
-    const std::uint64_t before = TotalSubmitted();
+    const std::uint64_t before = ForwardsSoFar();
     for (auto& w : workers_) w->Drain();
-    if (TotalSubmitted() == before) return;
+    if (ForwardsSoFar() == before) return;
   }
 }
 
@@ -467,7 +462,7 @@ bool ShardedDetectionService::DrainFor(std::chrono::milliseconds timeout) {
   // Same forwarded-edge fixpoint as Drain, deadline-bounded.
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
-    const std::uint64_t before = TotalSubmitted();
+    const std::uint64_t before = ForwardsSoFar();
     for (auto& w : workers_) {
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -476,7 +471,7 @@ bool ShardedDetectionService::DrainFor(std::chrono::milliseconds timeout) {
         return false;
       }
     }
-    if (TotalSubmitted() == before) return true;
+    if (ForwardsSoFar() == before) return true;
     if (std::chrono::steady_clock::now() >= deadline) return false;
   }
 }
@@ -498,9 +493,9 @@ void ShardedDetectionService::Stop() {
   // before workers stop accepting (a stopped worker rejects OfferBatch,
   // which would strand a victim's backlog in the final flush-or-drop).
   for (int i = 0; i < 8; ++i) {
-    const std::uint64_t before = TotalSubmitted();
+    const std::uint64_t before = ForwardsSoFar();
     for (auto& w : workers_) w->DrainFor(std::chrono::milliseconds(50));
-    if (TotalSubmitted() == before) break;
+    if (ForwardsSoFar() == before) break;
   }
   for (auto& w : workers_) w->Stop();
 }
@@ -602,7 +597,9 @@ std::size_t ShardedDetectionService::RouteForward(
     done += accepted;
     if (accepted < len) break;  // target full: stop early, keep the rest
   }
-  if (done > 0) forwarded_edges_.fetch_add(done, std::memory_order_relaxed);
+  // Release: a Drain pass that observes this count also observes the
+  // target's ring claim, so its Drain of the target covers the edges.
+  if (done > 0) forwarded_edges_.fetch_add(done, std::memory_order_release);
   return done;
 }
 
@@ -1461,7 +1458,8 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   for (std::size_t pid = 0; pid < num_partitions; ++pid) {
     SPADE_RETURN_NOT_OK(LoadSnapshot(JoinPath(dir, manifest.files[pid]),
                                      &plans[pid].graph, &plans[pid].state,
-                                     &plans[pid].state_present));
+                                     &plans[pid].state_present,
+                                     &plans[pid].window));
   }
   BoundaryEdgeIndex::FileData boundary_base;
   const bool has_boundary = !manifest.boundary_file.empty();

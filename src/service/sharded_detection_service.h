@@ -404,7 +404,8 @@ class ShardedDetectionService {
   void SeedBoundaryIndex(std::span<const Edge> raw_edges);
 
   /// Blocks until every shard has applied and republished everything
-  /// submitted before this call.
+  /// submitted before this call. Edges submitted concurrently need not be
+  /// covered, so a producer that keeps submitting does not hold it up.
   void Drain();
 
   /// Bounded-wait Drain: true when every shard became exact within
@@ -641,11 +642,14 @@ class ShardedDetectionService {
   /// rebalance.interval_ms > 0).
   void RebalancerLoop();
 
-  /// Sum of every worker's accepted-edge counter; stable across two reads
-  /// with no concurrent producers, which is what Drain's fixpoint loop
-  /// needs (a forwarded edge re-enters a queue AFTER the victim's Drain
-  /// returned, so one pass over the workers is not enough).
-  std::uint64_t TotalSubmitted() const;
+  /// Forwarded-edge count (acquire; pairs with RouteForward's release).
+  /// Drain's fixpoint loop: a forwarded edge re-enters a queue possibly
+  /// AFTER its new owner's Drain returned, so the pass repeats until no
+  /// edge was forwarded during it. Steady producer traffic does not move
+  /// this count, so it cannot keep the loop spinning.
+  std::uint64_t ForwardsSoFar() const {
+    return forwarded_edges_.load(std::memory_order_acquire);
+  }
 
   /// Window-mode submit hook: CAS-max the watermark over `ts` and, when it
   /// has advanced a full stride past the last automatic horizon, enqueue a
@@ -688,6 +692,8 @@ class ShardedDetectionService {
   mutable std::mutex rebalance_mutex_;
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> partitions_moved_{0};
+  /// Edges handed from a stale owner to the current one. Also the key of
+  /// the Drain fixpoint (see ForwardsSoFar).
   std::atomic<std::uint64_t> forwarded_edges_{0};
   std::mutex rebalancer_mutex_;
   std::condition_variable rebalancer_cv_;

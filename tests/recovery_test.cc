@@ -66,8 +66,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   }
   ShardedDetectionServiceOptions options;
   options.partitioner = ParityPartitioner();
-  // Small cadence so delta logs carry flush markers between checkpoints.
-  options.shard.detect_every = 16;
   // The harness controls full-vs-delta explicitly; keep the policy out of
   // the way.
   options.checkpoint.max_chain_length = 1000;
@@ -92,6 +90,30 @@ std::vector<testing::ShardCapture> CaptureShards(
     });
   }
   return captures;
+}
+
+/// For each shard, the first edge (by source, then destination) homed on
+/// it that the shard's detector would buffer as benign right now. Under DW
+/// the raw weight is the applied weight, so Spade::IsBenign decides
+/// exactly what ApplyEdge will.
+std::vector<Edge> BenignEdgePerShard(const ShardedDetectionService& service) {
+  std::vector<Edge> planted;
+  for (std::size_t s = 0; s < service.num_shards(); ++s) {
+    service.InspectShard(s, [&](const Spade& spade) {
+      for (VertexId u = static_cast<VertexId>(s); u < kVertices;
+           u += kShards) {
+        for (VertexId v = 0; v < kVertices; ++v) {
+          const Edge e{u, v, 1.0, 0};
+          if (u != v && spade.IsBenign(e)) {
+            planted.push_back(e);
+            return;
+          }
+        }
+      }
+    });
+  }
+  EXPECT_EQ(planted.size(), service.num_shards());
+  return planted;
 }
 
 /// One uninterrupted run checkpointing `epochs` times into `dir`, with a
@@ -124,9 +146,24 @@ LiveRun RunAndCheckpoint(const std::string& dir, std::size_t epochs,
   run.at[1] = CaptureShards(*run.service);
 
   for (std::uint64_t e = 2; e <= epochs; ++e) {
-    run.chunks.push_back(RandomChunk(&rng, kChunkEdges));
-    EXPECT_TRUE(run.service->SubmitBatch(run.chunks.back()).ok());
+    // Between two halves of random traffic, plant one benign edge per
+    // shard and Drain: the Drain folds the buffered edge, so every delta
+    // log carries a flush marker between insert records and replay has to
+    // honour it.
+    const std::vector<Edge> random = RandomChunk(&rng, kChunkEdges);
+    const std::size_t half = random.size() / 2;
+    std::vector<Edge> chunk(random.begin(), random.begin() + half);
+    EXPECT_TRUE(run.service->SubmitBatch(chunk).ok());
     run.service->Drain();
+    const std::vector<Edge> planted = BenignEdgePerShard(*run.service);
+    EXPECT_TRUE(run.service->SubmitBatch(planted).ok());
+    run.service->Drain();
+    const std::vector<Edge> rest(random.begin() + half, random.end());
+    EXPECT_TRUE(run.service->SubmitBatch(rest).ok());
+    run.service->Drain();
+    chunk.insert(chunk.end(), planted.begin(), planted.end());
+    chunk.insert(chunk.end(), rest.begin(), rest.end());
+    run.chunks.push_back(std::move(chunk));
     EXPECT_TRUE(run.service
                     ->SaveState(dir, ShardedDetectionService::SaveMode::kAuto,
                                 &info)
@@ -137,6 +174,34 @@ LiveRun RunAndCheckpoint(const std::string& dir, std::size_t epochs,
     run.at[e] = CaptureShards(*run.service);
   }
   return run;
+}
+
+/// Segments of epochs 2..`epochs` in `dir` holding a flush record with an
+/// insert record on each side.
+std::size_t SegmentsWithInteriorFlush(const std::string& dir,
+                                      std::uint64_t epochs) {
+  std::size_t found = 0;
+  for (std::uint64_t e = 2; e <= epochs; ++e) {
+    for (std::size_t s = 0; s < kShards; ++s) {
+      DeltaSegment segment;
+      EXPECT_TRUE(ReadDeltaSegment(
+                      (std::filesystem::path(dir) / ShardDeltaFileName(s, e))
+                          .string(),
+                      &segment)
+                      .ok());
+      const auto& r = segment.records;
+      const auto is_insert = [](const DeltaRecord& d) {
+        return !d.flush && !d.retire;
+      };
+      for (std::size_t i = 1; i + 1 < r.size(); ++i) {
+        if (r[i].flush && is_insert(r[i - 1]) && is_insert(r[i + 1])) {
+          ++found;
+          break;
+        }
+      }
+    }
+  }
+  return found;
 }
 
 void CopyDir(const std::string& from, const std::string& to) {
@@ -168,6 +233,9 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, ParallelRestoreBitIdenticalToSerial) {
   constexpr std::size_t kEpochs = 4;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/311);
+  // Replay must honour flush markers between inserts, not just at a
+  // segment's end.
+  ASSERT_GT(SegmentsWithInteriorFlush(dir_, kEpochs), 0u);
 
   auto parallel = BuildService(run.initial, /*restore_threads=*/0);
   auto serial = BuildService(run.initial, /*restore_threads=*/1);
@@ -234,6 +302,8 @@ TEST_F(RecoveryTest, TruncatingWriterSeamFallsBackToDurableEpoch) {
 TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   constexpr std::size_t kEpochs = 3;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/303);
+  // The sweep must cut around interior flush markers too.
+  ASSERT_GT(SegmentsWithInteriorFlush(dir_, kEpochs), 0u);
 
   // Collect cut points per target file. For delta segments the format is
   // known: 40-byte header, then 1-byte (flush) or 25-byte (edge) records —
@@ -531,6 +601,72 @@ TEST_F(RecoveryTest, WindowedChainWithRetiresRestoresBitIdentical) {
   }
   EXPECT_DOUBLE_EQ(service->CurrentCommunity().density,
                    victim->CurrentCommunity().density);
+}
+
+// A full checkpoint of a windowed fleet carries each shard's window log in
+// its base snapshots: a fresh fleet restored from it has the live window
+// logs, and a delta chain on top of that base replays retires of base-era
+// edges (which only the restored window log can match) bit-identically.
+TEST_F(RecoveryTest, WindowedFullBaseRestoresWindowLog) {
+  constexpr Timestamp kSpan = 1'000'000;
+  constexpr std::size_t kWindowEdges = 2000;  // about 1k per shard
+  Rng rng(919);
+  const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
+  auto service = BuildService(initial, /*restore_threads=*/0, kSpan);
+
+  Timestamp now = 0;
+  const auto stamped = [&](std::size_t n) {
+    std::vector<Edge> chunk = RandomChunk(&rng, n);
+    for (Edge& edge : chunk) edge.ts = ++now;
+    return chunk;
+  };
+  ASSERT_TRUE(service->SubmitBatch(stamped(kWindowEdges)).ok());
+  service->Drain();
+  ASSERT_EQ(service->EdgesRetired(), 0u);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_GT(service->ShardWindow(s).size(), kWindowEdges / 4);
+  }
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kFull,
+                              &info)
+                  .ok());
+  ASSERT_FALSE(info.delta);
+  const auto at_base = CaptureShards(*service);
+
+  auto fresh = BuildService(initial, /*restore_threads=*/0, kSpan);
+  ASSERT_TRUE(fresh->RestoreState(dir_).ok());
+  const auto restored = CaptureShards(*fresh);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    testing::ExpectShardEqualsCapture(at_base[s], restored[s]);
+    ExpectWindowsEqual(service->ShardWindow(s), fresh->ShardWindow(s));
+  }
+
+  // Chain on that base: more traffic, then an expiry horizon that retires
+  // half of the base-era window edges.
+  ASSERT_TRUE(service->SubmitBatch(stamped(kChunkEdges)).ok());
+  service->Drain();
+  ASSERT_TRUE(service->RetireOlderThan(kWindowEdges / 2).ok());
+  service->Drain();
+  ASSERT_GT(service->EdgesRetired(), 0u);
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kAuto,
+                              &info)
+                  .ok());
+  ASSERT_TRUE(info.delta);
+  const auto live = CaptureShards(*service);
+
+  auto victim = BuildService(initial, /*restore_threads=*/0, kSpan);
+  ::testing::internal::CaptureStderr();
+  const Status restore = victim->RestoreState(dir_);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(restore.ok()) << restore.ToString();
+  EXPECT_EQ(log.find("retire record not found"), std::string::npos) << log;
+  const auto replayed = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    testing::ExpectShardEqualsCapture(live[s], replayed[s]);
+    ExpectWindowsEqual(service->ShardWindow(s), victim->ShardWindow(s));
+  }
 }
 
 }  // namespace

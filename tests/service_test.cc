@@ -318,6 +318,69 @@ TEST(ShardWorkerTest, BlockingStopReportsExactAcceptedPrefix) {
   EXPECT_EQ(worker.EdgesProcessed(), 3u);
 }
 
+// The detect_every cadence no longer folds the benign buffer, so on a
+// fully benign stream the detector's max_benign_buffer cap is what bounds
+// it. Drain still folds everything, and the result is tie-exact with a
+// static peel of the final graph.
+TEST(ShardWorkerTest, BenignBufferCapBoundsPendingEdges) {
+  constexpr std::size_t kCap = 64;
+  constexpr VertexId kClique = 10;
+  constexpr VertexId kVertices = 1010;
+  constexpr std::size_t kFed = 1000;
+  // A heavy clique sets the community density far above anything the
+  // light background edges can reach, so every fed edge is benign.
+  std::vector<Edge> initial;
+  for (VertexId u = 0; u < kClique; ++u) {
+    for (VertexId v = u + 1; v < kClique; ++v) {
+      initial.push_back({u, v, 100.0, 0});
+    }
+  }
+  Spade spade(SpadeOptions{.max_benign_buffer = kCap});
+  spade.SetSemantics(MakeDW());
+  ASSERT_TRUE(spade.BuildGraph(kVertices, initial).ok());
+  ShardWorker worker(std::move(spade), nullptr);
+
+  Rng rng(64);
+  std::size_t fed = 0;
+  while (fed < kFed) {
+    for (int i = 0; i < 50; ++i, ++fed) {
+      const auto u = static_cast<VertexId>(
+          kClique + rng.NextBounded(kVertices - kClique));
+      auto v = static_cast<VertexId>(
+          kClique + rng.NextBounded(kVertices - kClique));
+      while (v == u) {
+        v = static_cast<VertexId>(
+            kClique + rng.NextBounded(kVertices - kClique));
+      }
+      ASSERT_TRUE(worker.Submit({u, v, 1.0, 0}).ok());
+    }
+    worker.InspectDetector([&](const Spade& s) {
+      EXPECT_LE(s.PendingBenignEdges(), kCap);
+    });
+  }
+  while (worker.EdgesProcessed() < kFed) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  worker.InspectDetector([&](const Spade& s) {
+    EXPECT_LE(s.PendingBenignEdges(), kCap);
+    // Everything but the buffered tail reached the graph: the cap folded
+    // it, not the publish cadence (detect_every stays at its default 256).
+    EXPECT_EQ(s.graph().NumEdges() + s.PendingBenignEdges(),
+              initial.size() + kFed);
+    EXPECT_GE(s.graph().NumEdges(), initial.size() + kFed - kCap);
+  });
+
+  worker.Drain();
+  worker.InspectDetector([&](const Spade& s) {
+    EXPECT_EQ(s.PendingBenignEdges(), 0u);
+    EXPECT_EQ(s.graph().NumEdges(), initial.size() + kFed);
+    testing::ExpectStateEquals(PeelStatic(s.graph()), s.peel_state(), 0.0);
+  });
+  const Community published = worker.CurrentCommunity();
+  EXPECT_EQ(published.members.size(), kClique);
+  EXPECT_DOUBLE_EQ(published.density, 45 * 100.0 / kClique);
+}
+
 // The satellite concurrency stress: multiple producers while readers poll
 // CurrentCommunity() and the counters. Run under TSan in CI, this also
 // proves the read path touches no apply-path lock (a reader blocked behind

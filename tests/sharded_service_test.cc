@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -706,6 +707,56 @@ TEST(ShardedDetectionServiceTest, ConcurrentProducersAndReaders) {
   EXPECT_GT(reads.load(), 0u);
   EXPECT_EQ(service.EdgesProcessed(),
             static_cast<std::uint64_t>(kProducers * kPerThread));
+}
+
+// Drain under steady traffic: a producer that never pauses keeps the
+// fleet's submitted count moving, which must not keep Drain's forwarding
+// fixpoint spinning. Drain returns promptly and covers every edge
+// submitted before the call.
+TEST(ShardedDetectionServiceTest, DrainReturnsUnderSteadyTraffic) {
+  constexpr std::size_t kShards = 3;
+  ShardedDetectionServiceOptions options = TenantOptions();
+  options.shard.block_when_full = true;
+  // A short queue bounds the backlog ahead of each Drain, so the deadline
+  // measures the drain protocol rather than the apply rate.
+  options.shard.max_queue = 256;
+  ShardedDetectionService service(BuildShards(kShards, 6, {}), nullptr,
+                                  options);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> submitted{0};
+  std::thread producer([&] {
+    Rng rng(77);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Edge e = TenantEdge(&rng, rng.NextBounded(6));
+      if (service.Submit(e).ok()) {
+        submitted.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  while (submitted.load(std::memory_order_relaxed) < 2000) {
+    std::this_thread::yield();
+  }
+  for (int round = 0; round < 3 && !stop; ++round) {
+    const std::uint64_t before = submitted.load(std::memory_order_relaxed);
+    std::atomic<bool> drained{false};
+    std::thread drainer([&] {
+      service.Drain();
+      drained = true;
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!drained && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(drained) << "Drain stalled in round " << round;
+    if (!drained) stop = true;  // a stalled Drain returns once traffic stops
+    drainer.join();
+    EXPECT_GE(service.EdgesProcessed(), before) << "round " << round;
+  }
+  stop = true;
+  producer.join();
+  service.Drain();
+  EXPECT_EQ(service.EdgesProcessed(), submitted.load());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "datagen/workload.h"
 #include "graph/graph_io.h"
 #include "metrics/density.h"
 #include "peel/static_peeler.h"
@@ -280,6 +281,50 @@ TEST(EdgeGroupingTest, BenignInsertionCannotImproveCommunity) {
     // Lemma 4.4: endpoints outside S_P' or the density did not improve.
     EXPECT_TRUE(endpoints_out || after.density < before + 1e-9);
   }
+}
+
+// Lemma 4.4 at the service's publish cadence: a detector that never folds
+// its benign buffer on the cadence reports exactly the community of one
+// that does. Twin detectors take the same Grab1 stream; at every 16th edge
+// one folds (Detect) and the other reads its peel state unfolded. FD is
+// excluded: its edge weights depend on the graph at admission, so the two
+// detectors' fold points would give them different graphs.
+TEST(EdgeGroupingTest, UnfoldedCadenceReadMatchesFoldedDetect) {
+  constexpr std::size_t kCadence = 16;
+  std::size_t points = 0;
+  std::size_t buffered_points = 0;
+  for (const char* semantics : {"DG", "DW"}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Workload w = BuildWorkload("Grab1", 0.0015, seed);
+      Spade folding;
+      Spade unfolded;
+      for (Spade* spade : {&folding, &unfolded}) {
+        spade->SetSemantics(MakeSemanticsByName(semantics));
+        spade->TurnOnEdgeGrouping();
+        ASSERT_TRUE(spade->BuildGraph(w.num_vertices, w.initial).ok());
+      }
+      const std::vector<Edge>& stream = w.stream.edges;
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        ASSERT_TRUE(folding.ApplyEdge(stream[i]).ok());
+        ASSERT_TRUE(unfolded.ApplyEdge(stream[i]).ok());
+        if ((i + 1) % kCadence != 0) continue;
+        if (unfolded.PendingBenignEdges() > 0) ++buffered_points;
+        const Community a = folding.Detect();
+        const Community b = unfolded.peel_state().DetectCommunity();
+        std::vector<VertexId> am = a.members;
+        std::vector<VertexId> bm = b.members;
+        std::sort(am.begin(), am.end());
+        std::sort(bm.begin(), bm.end());
+        ASSERT_EQ(am, bm) << semantics << " seed " << seed << " edge " << i;
+        ASSERT_EQ(a.density, b.density)
+            << semantics << " seed " << seed << " edge " << i;
+        ++points;
+      }
+    }
+  }
+  // The comparison must have exercised unfolded reads over real buffers.
+  EXPECT_GT(points, 400u);
+  EXPECT_GT(buffered_points, 50u);
 }
 
 TEST(SpadeTest, CumulativeStatsAccumulate) {

@@ -516,8 +516,12 @@ TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   Rng rng(502);
   ShardedDetectionServiceOptions options;
   options.partitioner = TenantPartitioner(kVerticesPerTenant);
-  options.stitch.interval_ms = 0;        // no timer at all
-  options.stitch.trigger_weight = 50.0;  // a few ring edges cross this
+  options.stitch.interval_ms = 0;  // no timer at all
+  // Below one ring edge's weight (27-33), so every cross-shard edge wakes
+  // the stitcher: a triggered pass drains only what was submitted before
+  // it, and a trailing edge lighter than the threshold would otherwise
+  // leave the last published pass one edge short of the stream.
+  options.stitch.trigger_weight = 20.0;
   ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
                                   options);
 
@@ -529,10 +533,15 @@ TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   SubmitAll(&service, stream);
   service.Drain();
 
+  // The differential anchor: the triggered pass is exact, not heuristic.
+  DetectionService merged(BuildMergedDetector(n), nullptr);
+  for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
+  merged.Drain();
+  const double want = merged.CurrentCommunity().density;
   GlobalCommunity g;
   for (int i = 0; i < 500; ++i) {
     g = service.CurrentGlobalCommunity();
-    if (g.stitched) break;
+    if (g.stitched && std::abs(g.density - want) < 1e-9) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const ShardedServiceStats stats = service.GetStats();
@@ -540,11 +549,7 @@ TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   EXPECT_GE(stats.stitch_triggers, 1u);
   EXPECT_GE(stats.stitch_passes, 1u);
   EXPECT_EQ(g.shards, (std::vector<std::size_t>{0, 1}));
-  // The differential anchor: the triggered pass is exact, not heuristic.
-  DetectionService merged(BuildMergedDetector(n), nullptr);
-  for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
-  merged.Drain();
-  EXPECT_NEAR(g.density, merged.CurrentCommunity().density, 1e-9);
+  EXPECT_NEAR(g.density, want, 1e-9);
   service.Stop();
 }
 
@@ -589,7 +594,10 @@ TEST(MessageDrivenStitchingTest, SeamTruncationIsReportedAndEscalated) {
     ShardedDetectionServiceOptions options;
     options.partitioner = TenantPartitioner(kVerticesPerTenant);
     options.stitch.max_seam_vertices = 2;
-    options.stitch.trigger_weight = 50.0;
+    // Below every cross edge's weight, so the last one always wakes a
+    // pass that covers the whole stream (see
+    // TriggerWakesStitcherWithoutTimer).
+    options.stitch.trigger_weight = 4.0;
     ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
                                     options);
     SubmitAll(&service, stream);
@@ -737,8 +745,11 @@ TEST(MessageDrivenStitchingTest, PairOverrideArmsOnlyItsPair) {
     options.partitioner = TenantPartitioner(kVerticesPerTenant);
     options.stitch.interval_ms = 0;     // no timer
     options.stitch.trigger_weight = 0;  // fleet-wide trigger unset...
-    options.stitch.pair_trigger_overrides.push_back({0, 1, 50.0});  // ...
-    return options;                     // but {0, 1} armed on its own
+    // ...but {0, 1} armed on its own, below one ring edge's weight so the
+    // last edge always wakes a covering pass (see
+    // TriggerWakesStitcherWithoutTimer).
+    options.stitch.pair_trigger_overrides.push_back({0, 1, 20.0});
+    return options;
   };
   auto ring_across = [&](std::size_t other_tenant) {
     Rng rng(611);
@@ -757,18 +768,19 @@ TEST(MessageDrivenStitchingTest, PairOverrideArmsOnlyItsPair) {
     const std::vector<Edge> stream = ring_across(1);
     SubmitAll(&service, stream);
     service.Drain();
+    DetectionService merged(BuildMergedDetector(n), nullptr);
+    for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
+    merged.Drain();
+    const double want = merged.CurrentCommunity().density;
     GlobalCommunity g;
     for (int i = 0; i < 500; ++i) {
       g = service.CurrentGlobalCommunity();
-      if (g.stitched) break;
+      if (g.stitched && std::abs(g.density - want) < 1e-9) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     EXPECT_TRUE(g.stitched);
     EXPECT_GE(service.GetStats().stitch_triggers, 1u);
-    DetectionService merged(BuildMergedDetector(n), nullptr);
-    for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
-    merged.Drain();
-    EXPECT_NEAR(g.density, merged.CurrentCommunity().density, 1e-9);
+    EXPECT_NEAR(g.density, want, 1e-9);
     service.Stop();
   }
   {
