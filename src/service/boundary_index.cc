@@ -11,11 +11,7 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kBoundaryMagic = 0x53504144455F4249ULL;  // "SPADE_BI"
-constexpr std::uint32_t kBoundaryVersion = 1;
-// v2 adds a per-bucket compacted-block section ahead of the raw edges; a
-// file with no blocks anywhere is written as v1, byte-identical to the
-// pre-compaction format.
-constexpr std::uint32_t kBoundaryVersionCompacted = 2;
+constexpr std::uint32_t kBoundaryVersion = 2;
 constexpr std::uint64_t kTailMagic = 0x53504144455F4254ULL;  // "SPADE_BT"
 constexpr std::uint32_t kTailVersion = 1;
 
@@ -35,36 +31,43 @@ bool ReadEdge(storage::ChecksummedFileReader* reader, Edge* e) {
          reader->Read(&e->weight) && reader->Read(&e->ts);
 }
 
-/// Shared payload reader for v1 base and tail files (they differ only in
-/// the header): per-bucket counts + edges for `num_buckets` buckets.
+/// One bucket's raw section, shared by base and tail files: an edge count
+/// then the edges.
+Status ReadRawEdges(storage::ChecksummedFileReader* reader,
+                    std::vector<Edge>* edges) {
+  std::uint64_t count = 0;
+  if (!reader->Read(&count)) {
+    return Status::IOError("truncated boundary file: " + reader->path());
+  }
+  // Pre-allocation plausibility gate (see checked_io.h): 24 payload bytes
+  // per edge record.
+  if (reader->CountExceedsFile(count, 24)) {
+    return Status::IOError("boundary bucket count exceeds the file size: " +
+                           reader->path());
+  }
+  edges->resize(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!ReadEdge(reader, &(*edges)[i])) {
+      return Status::IOError("truncated boundary file: " + reader->path());
+    }
+  }
+  return Status::OK();
+}
+
+/// Tail payload: each of `num_buckets` buckets' raw section.
 Status ReadBuckets(storage::ChecksummedFileReader* reader,
                    std::size_t num_buckets,
                    std::vector<std::vector<Edge>>* buckets) {
   buckets->assign(num_buckets, {});
   for (std::size_t b = 0; b < num_buckets; ++b) {
-    std::uint64_t count = 0;
-    if (!reader->Read(&count)) {
-      return Status::IOError("truncated boundary file: " + reader->path());
-    }
-    // Pre-allocation plausibility gate (see checked_io.h): 24 payload
-    // bytes per edge record.
-    if (reader->CountExceedsFile(count, 24)) {
-      return Status::IOError("boundary bucket count exceeds the file size: " +
-                             reader->path());
-    }
-    (*buckets)[b].resize(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (!ReadEdge(reader, &(*buckets)[b][i])) {
-        return Status::IOError("truncated boundary file: " + reader->path());
-      }
-    }
+    SPADE_RETURN_NOT_OK(ReadRawEdges(reader, &(*buckets)[b]));
   }
   return reader->VerifyTrailer();
 }
 
-/// v2 payload: per bucket, a block section (count; per block max_ts,
+/// Base payload: per bucket, a block section (count; per block max_ts,
 /// edge_count, entry count, sorted (vertex, weight) entries) then the raw
-/// edges, same record shape as v1.
+/// section.
 Status ReadBucketsCompacted(
     storage::ChecksummedFileReader* reader, std::size_t num_buckets,
     std::vector<std::vector<Edge>>* buckets,
@@ -103,20 +106,7 @@ Status ReadBucketsCompacted(
         }
       }
     }
-    std::uint64_t count = 0;
-    if (!reader->Read(&count)) {
-      return Status::IOError("truncated boundary file: " + reader->path());
-    }
-    if (reader->CountExceedsFile(count, 24)) {
-      return Status::IOError("boundary bucket count exceeds the file size: " +
-                             reader->path());
-    }
-    (*buckets)[b].resize(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (!ReadEdge(reader, &(*buckets)[b][i])) {
-        return Status::IOError("truncated boundary file: " + reader->path());
-      }
-    }
+    SPADE_RETURN_NOT_OK(ReadRawEdges(reader, &(*buckets)[b]));
   }
   return reader->VerifyTrailer();
 }
@@ -208,7 +198,7 @@ bool BoundaryEdgeIndex::FoldNewEdges(
     cursor->epoch.assign(buckets_.size(), 0);
     cursor->consumed.assign(buckets_.size(), 0);
   }
-  // Pass 1: a bumped epoch anywhere (Clear/Load) invalidates the whole
+  // Pass 1: a bumped epoch anywhere (a restore) invalidates the whole
   // aggregate — per-bucket contributions are not tracked separately, so the
   // only sound recovery is a full rebuild.
   bool rebuilt = false;
@@ -394,45 +384,10 @@ std::vector<Edge> BoundaryEdgeIndex::SnapshotEdges() const {
   return out;
 }
 
-void BoundaryEdgeIndex::Clear(Cursor* sync) {
-  if (sync != nullptr && sync->epoch.size() != buckets_.size()) {
-    sync->epoch.assign(buckets_.size(), 0);
-    sync->consumed.assign(buckets_.size(), 0);
-  }
-  std::uint64_t dropped = 0;
-  std::uint64_t dropped_compacted = 0;
-  std::uint64_t dropped_entries = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    Bucket& bucket = buckets_[b];
-    std::lock_guard<std::mutex> lock(bucket.mutex);
-    dropped += bucket.edges.size() + BlockEdgeTotal(bucket.blocks);
-    dropped_compacted += BlockEdgeTotal(bucket.blocks);
-    dropped_entries += BlockEntryTotal(bucket.blocks);
-    bucket.edges.clear();
-    bucket.blocks.clear();
-    bucket.start = 0;
-    ++bucket.epoch;
-    // A synced clear keeps the chain anchored at the empty bucket (floor
-    // 0: nothing recorded after it is persisted yet); an unsynced one
-    // leaves no chain, so compaction is unrestricted again.
-    bucket.persist_floor =
-        sync != nullptr ? 0 : std::numeric_limits<std::size_t>::max();
-    if (sync != nullptr) {
-      sync->epoch[b] = bucket.epoch;
-      sync->consumed[b] = 0;
-    }
-  }
-  total_.fetch_sub(dropped, std::memory_order_relaxed);
-  compacted_edges_.fetch_sub(dropped_compacted, std::memory_order_relaxed);
-  block_entries_.fetch_sub(dropped_entries, std::memory_order_relaxed);
-}
-
-Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
-                               std::uint32_t* format) const {
-  // Capture every bucket under its lock first: the file-level version
-  // decision (v1 iff no blocks anywhere) must see one consistent cut, and
-  // a concurrent CompactConsumed (stitch lock, not the save lock) may
-  // create a bucket's first block mid-save otherwise.
+Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync) const {
+  // Capture every bucket under its lock first: the file must be one
+  // consistent cut, and a concurrent CompactConsumed (stitch lock, not the
+  // save lock) may otherwise move edges into blocks mid-save.
   struct Captured {
     std::vector<Edge> edges;
     std::vector<CompactedBlock> blocks;
@@ -440,7 +395,6 @@ Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
     std::size_t end = 0;  // logical end = the staged cursor position
   };
   std::vector<Captured> captured(buckets_.size());
-  bool any_blocks = false;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     const Bucket& bucket = buckets_[b];
     std::lock_guard<std::mutex> lock(bucket.mutex);
@@ -452,24 +406,21 @@ Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
     // Logical position: the capture holds only resident edges, and the
     // cursor anchors past everything ever appended before it.
     captured[b].end = bucket.start + bucket.edges.size();
-    any_blocks = any_blocks || !bucket.blocks.empty();
   }
 
   storage::ChecksummedFileWriter writer(path);
   writer.Write(kBoundaryMagic);
-  writer.Write(any_blocks ? kBoundaryVersionCompacted : kBoundaryVersion);
+  writer.Write(kBoundaryVersion);
   writer.Write(static_cast<std::uint64_t>(num_shards_));
   for (const Captured& cap : captured) {
-    if (any_blocks) {
-      writer.Write(static_cast<std::uint64_t>(cap.blocks.size()));
-      for (const CompactedBlock& block : cap.blocks) {
-        writer.Write(block.max_ts);
-        writer.Write(block.edge_count);
-        writer.Write(static_cast<std::uint64_t>(block.weight.size()));
-        for (const auto& [v, w] : block.weight) {
-          writer.Write(v);
-          writer.Write(w);
-        }
+    writer.Write(static_cast<std::uint64_t>(cap.blocks.size()));
+    for (const CompactedBlock& block : cap.blocks) {
+      writer.Write(block.max_ts);
+      writer.Write(block.edge_count);
+      writer.Write(static_cast<std::uint64_t>(block.weight.size()));
+      for (const auto& [v, w] : block.weight) {
+        writer.Write(v);
+        writer.Write(w);
       }
     }
     writer.Write(static_cast<std::uint64_t>(cap.edges.size()));
@@ -492,9 +443,6 @@ Status BoundaryEdgeIndex::Save(const std::string& path, Cursor* sync,
       }
     }
   }
-  if (format != nullptr) {
-    *format = any_blocks ? kBoundaryVersionCompacted : kBoundaryVersion;
-  }
   return Status::OK();
 }
 
@@ -507,7 +455,7 @@ Status BoundaryEdgeIndex::SaveTail(const std::string& path,
     return Status::FailedPrecondition(
         "boundary tail cursor was never anchored by a full Save");
   }
-  // An epoch bump (Clear/Load) since the cursor's anchor means the prefix
+  // An epoch bump (a restore) since the cursor's anchor means the prefix
   // the cursor describes no longer exists; only a full Save is sound.
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     std::lock_guard<std::mutex> lock(buckets_[b].mutex);
@@ -529,8 +477,8 @@ Status BoundaryEdgeIndex::SaveTail(const std::string& path,
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     const Bucket& bucket = buckets_[b];
     std::lock_guard<std::mutex> lock(bucket.mutex);
-    // Re-check under the lock (a concurrent Clear between the validation
-    // pass and here would silently rewind the bucket).
+    // Re-check under the lock (a concurrent restore between the
+    // validation pass and here would silently rewind the bucket).
     if (cursor->epoch[b] != bucket.epoch) {
       return Status::FailedPrecondition(
           "boundary index epoch changed under the persist cursor");
@@ -584,8 +532,7 @@ Status BoundaryEdgeIndex::ReadFile(const std::string& path,
   if (!reader.Read(&magic) || magic != kBoundaryMagic) {
     return Status::IOError("bad boundary index magic in " + path);
   }
-  if (!reader.Read(&version) ||
-      (version != kBoundaryVersion && version != kBoundaryVersionCompacted)) {
+  if (!reader.Read(&version) || version != kBoundaryVersion) {
     return Status::IOError("unsupported boundary index version in " + path);
   }
   if (!reader.Read(&shards) || shards != expected_shards) {
@@ -594,14 +541,9 @@ Status BoundaryEdgeIndex::ReadFile(const std::string& path,
         " shards but the service has " + std::to_string(expected_shards));
   }
   FileData parsed;
-  if (version == kBoundaryVersionCompacted) {
-    SPADE_RETURN_NOT_OK(ReadBucketsCompacted(&reader,
-                                             expected_shards * expected_shards,
-                                             &parsed.buckets, &parsed.blocks));
-  } else {
-    SPADE_RETURN_NOT_OK(ReadBuckets(
-        &reader, expected_shards * expected_shards, &parsed.buckets));
-  }
+  SPADE_RETURN_NOT_OK(ReadBucketsCompacted(&reader,
+                                           expected_shards * expected_shards,
+                                           &parsed.buckets, &parsed.blocks));
   *out = std::move(parsed);
   return Status::OK();
 }

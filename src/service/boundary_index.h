@@ -16,9 +16,10 @@
 // dst_home), each with its own mutex, so workers recording into different
 // pairs never contend. The buckets double as the stitcher's message
 // queues: a fold through a Cursor consumes exactly the suffix appended
-// since its last visit. Buckets are epoch-stamped: Clear()/Load() bump the
-// epoch, and a consumer folding through a Cursor detects the bump and
-// rebuilds from scratch instead of silently mixing generations.
+// since its last visit. Buckets are epoch-stamped: a restore (Load /
+// AdoptBuckets) bumps the epoch, and a consumer folding through a Cursor
+// detects the bump and rebuilds from scratch instead of silently mixing
+// generations.
 //
 // Compaction: once the stitcher has consumed a bucket's prefix (and a
 // checkpoint chain, if one is active, has persisted it — see the persist
@@ -28,15 +29,16 @@
 // only for the unconsumed suffix (the live message-queue tail) and for
 // anything a checkpoint chain still needs verbatim. Blocks keep a
 // conservative max-timestamp so EvictOlderThan can still drop them whole
-// once the window passes them, and full saves persist them (format v2) so
-// save/restore stays exact.
+// once the window passes them, and full saves persist them so save/restore
+// stays exact.
 //
 // Persistence: Save/Load write a little-endian, CRC-64-protected binary
-// file (storage/checked_io.h trailer discipline) holding the shard count
-// and every bucket's blocks + edges; the sharded snapshot manifest
-// references it so a restored fleet resumes stitching without replaying
-// the stream. A bucket with no blocks writes format v1, byte-identical to
-// pre-compaction files.
+// base file (storage/checked_io.h trailer discipline; version 2) holding
+// the shard count and, per bucket, its blocks (count 0 when it has none)
+// then its raw edges; the sharded snapshot manifest references it so a
+// restored fleet resumes stitching without replaying the stream. SaveTail
+// files (below) are version 1 and hold raw edges only. Each reader
+// accepts its one version.
 //
 // Incremental persistence: because buckets are append-only within an
 // epoch, a checkpoint does not need to rewrite them — SaveTail persists
@@ -151,20 +153,20 @@ class BoundaryEdgeIndex {
   /// Folds every edge appended since `cursor` into `weight` (each endpoint
   /// accumulates the edge weight — the vertex's total cross-shard
   /// suspiciousness mass). If any bucket's epoch changed since the cursor
-  /// last visited (Clear/Load), the aggregate is cleared and rebuilt from
+  /// last visited (a restore), the aggregate is cleared and rebuilt from
   /// the full index (compacted blocks contribute their stored sums);
   /// returns true in that case. Concurrent Record() calls are safe;
-  /// concurrent Clear()/Load()/CompactConsumed() must be serialized by the
-  /// caller (the service's stitch lock does this). Compaction is driven by
-  /// this same cursor, so a block never splits a fold: any block past the
-  /// cursor is folded whole.
+  /// concurrent Load()/AdoptBuckets()/CompactConsumed() must be serialized
+  /// by the caller (the service's stitch lock does this). Compaction is
+  /// driven by this same cursor, so a block never splits a fold: any block
+  /// past the cursor is folded whole.
   bool FoldNewEdges(Cursor* cursor,
                     std::unordered_map<VertexId, double>* weight) const;
 
   /// Collapses each bucket's fold-consumed, persist-covered raw prefix into
   /// a CompactedBlock (skipping runs shorter than `min_batch` — tiny blocks
   /// cost more than they save). Caller must pass the SAME cursor that
-  /// drives FoldNewEdges and serialize against Clear/Load (the stitch
+  /// drives FoldNewEdges and serialize against a restore (the stitch
   /// lock). Logical positions, TotalEdges and all cursors are unaffected.
   /// Returns the number of raw edges compacted.
   std::size_t CompactConsumed(const Cursor& fold_cursor,
@@ -191,21 +193,13 @@ class BoundaryEdgeIndex {
   std::size_t EvictOlderThan(Timestamp horizon, const Cursor& fold_cursor,
                              std::unordered_map<VertexId, double>* weight);
 
-  /// Drops every edge and block and bumps every bucket epoch. When `sync`
-  /// is non-null it is positioned at the now-empty buckets, so a following
-  /// SaveTail persists exactly the edges recorded after the clear.
-  void Clear(Cursor* sync = nullptr);
-
-  /// Atomically persists the index (temp file + rename, CRC-64 trailer).
-  /// Writes format v2 when any bucket holds compacted blocks, else the
-  /// pre-compaction v1 bytes exactly. When `sync` is non-null it is
+  /// Atomically persists the index (temp file + rename, CRC-64 trailer),
+  /// blocks and raw edges of every bucket. When `sync` is non-null it is
   /// advanced, bucket by bucket under the bucket lock, to exactly the
   /// prefix this file contains — the anchor for subsequent SaveTail calls —
   /// and each bucket's persist floor moves up to that prefix (committed
-  /// only after the file is durable). `format` (optional) reports the
-  /// version written, for the manifest's boundary-format line.
-  Status Save(const std::string& path, Cursor* sync = nullptr,
-              std::uint32_t* format = nullptr) const;
+  /// only after the file is durable).
+  Status Save(const std::string& path, Cursor* sync = nullptr) const;
 
   /// Replaces the contents from a file written by Save. The file's shard
   /// count must match; every bucket epoch is bumped so fold cursors
@@ -213,7 +207,7 @@ class BoundaryEdgeIndex {
   Status Load(const std::string& path, Cursor* sync = nullptr);
 
   /// Parsed contents of a base or tail file: per bucket, compacted blocks
-  /// (base v2 only) plus raw edges.
+  /// (base files only) plus raw edges.
   struct FileData {
     std::vector<std::vector<Edge>> buckets;
     std::vector<std::vector<CompactedBlock>> blocks;  // empty or per-bucket
@@ -232,7 +226,7 @@ class BoundaryEdgeIndex {
   /// since `cursor` and advances it (plus the persist floor, after the
   /// file is durable). Fails with kFailedPrecondition (writing nothing)
   /// when any bucket's epoch changed since the cursor last visited
-  /// (Clear/Load happened), or when the cursor's suffix was compacted away
+  /// (a restore happened), or when the cursor's suffix was compacted away
   /// (cannot happen through the service flow — the floor forbids it — but
   /// a full Save is the sound fallback either way). `checkpoint_epoch` is
   /// stamped into the file for chain validation.
@@ -241,7 +235,6 @@ class BoundaryEdgeIndex {
 
   /// Reads + validates a base file without touching the index (the
   /// two-phase restore validates every file before any side effect).
-  /// Accepts v1 (raw only) and v2 (blocks + raw).
   static Status ReadFile(const std::string& path, std::size_t expected_shards,
                          FileData* out);
 

@@ -49,28 +49,13 @@ constexpr std::size_t kGatherCap = 4096;
 /// current owner accepts them.
 constexpr std::chrono::milliseconds kBacklogRetire{1};
 
-std::vector<ShardWorker::PartitionSeed> SoleSeed(Spade spade) {
-  std::vector<ShardWorker::PartitionSeed> seeds;
-  seeds.push_back(ShardWorker::PartitionSeed{0, std::move(spade)});
-  return seeds;
-}
-
 }  // namespace
-
-ShardWorker::ShardWorker(Spade spade, FraudAlertFn on_alert,
-                         DetectionServiceOptions options,
-                         RetireNotifyFn on_retire,
-                         BoundaryUpdateFn on_boundary)
-    : ShardWorker(SoleSeed(std::move(spade)), /*total_partitions=*/1,
-                  /*partition_of=*/nullptr, /*forward=*/nullptr,
-                  std::move(on_alert), options, std::move(on_retire),
-                  std::move(on_boundary), /*slab_pool=*/nullptr) {}
 
 ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
                          std::size_t total_partitions,
                          PartitionOfFn partition_of, ForwardFn forward,
                          FraudAlertFn on_alert,
-                         DetectionServiceOptions options,
+                         DetectionServiceOptions options, int cpu,
                          RetireNotifyFn on_retire,
                          BoundaryUpdateFn on_boundary,
                          std::shared_ptr<SlabPool> slab_pool)
@@ -109,21 +94,21 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
   PublishArgmaxLocked();  // pre-thread: no lock contention possible yet
   worker_ = std::thread([this] { WorkerLoop(); });
 #if defined(__linux__)
-  if (options_.cpu >= 0) {
+  if (cpu >= 0) {
     cpu_set_t set;
     CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(options_.cpu), &set);
+    CPU_SET(static_cast<unsigned>(cpu), &set);
     const int rc =
         pthread_setaffinity_np(worker_.native_handle(), sizeof(cpu_set_t),
                                &set);
     if (rc != 0) {
       SPADE_LOG_WARNING() << "ShardWorker: cannot pin worker to CPU "
-                          << options_.cpu << " (error " << rc
+                          << cpu << " (error " << rc
                           << "); running unpinned";
     }
   }
 #else
-  if (options_.cpu >= 0) {
+  if (cpu >= 0) {
     SPADE_LOG_WARNING()
         << "ShardWorker: CPU pinning is unsupported on this platform; "
            "running unpinned";
@@ -551,10 +536,6 @@ const ShardWorker::Partition* ShardWorker::FindPartitionLocked(
   return nullptr;
 }
 
-ShardWorker::Partition* ShardWorker::SolePartitionLocked() {
-  return parts_.size() == 1 ? parts_.front().get() : nullptr;
-}
-
 std::unique_ptr<ShardWorker::Partition> ShardWorker::DetachPartition(
     std::size_t pid) {
   std::unique_ptr<Partition> out;
@@ -610,37 +591,6 @@ void ShardWorker::CollectInduced(std::span<const VertexId> vertices,
 // ---------------------------------------------------------------------------
 // Persistence.
 
-Status ShardWorker::SavePartitionLocked(Partition& p, const std::string& path,
-                                        bool start_delta_tracking) {
-  // A full save is a checkpoint: whatever history the log held is now
-  // covered by the base snapshot. (The flush below mirrors what
-  // Spade::SaveState did; replay of a later chain starts from that flushed
-  // state, which is why no marker needs to survive the reset.) The window
-  // log rides in the snapshot's v2 section — an empty window (every
-  // non-windowed partition) writes the same v1 bytes as before.
-  SPADE_RETURN_NOT_OK(p.spade.Flush());
-  const std::vector<Edge> window(p.window_log.begin(), p.window_log.end());
-  SPADE_RETURN_NOT_OK(
-      SaveSnapshot(path, p.spade.graph(), &p.spade.peel_state(), window));
-  p.delta_log.clear();
-  p.delta_overflow = false;
-  if (start_delta_tracking) p.delta_tracking = true;
-  return Status::OK();
-}
-
-Status ShardWorker::SaveState(const std::string& path,
-                              bool start_delta_tracking) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveState requires a sole-partition worker; use "
-        "SavePartition");
-  }
-  return SavePartitionLocked(*p, path, start_delta_tracking);
-}
-
 Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
                                   bool start_delta_tracking) {
   Drain();
@@ -650,57 +600,18 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
     return Status::NotFound(
         "ShardWorker::SavePartition: partition not owned by this worker");
   }
-  return SavePartitionLocked(*p, path, start_delta_tracking);
-}
-
-Status ShardWorker::SaveDeltaLocked(Partition& p, const std::string& path,
-                                    std::uint32_t shard,
-                                    std::uint64_t prev_epoch,
-                                    std::uint64_t epoch, DeltaSaveInfo* info) {
-  if (!p.delta_tracking) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveDelta: no checkpoint baseline (run a full "
-        "SaveState first)");
-  }
-  if (p.delta_overflow) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveDelta: delta log overflowed; a full SaveState is "
-        "required");
-  }
-  DeltaSegment segment;
-  segment.shard = shard;
-  segment.prev_epoch = prev_epoch;
-  segment.epoch = epoch;
-  segment.records = std::move(p.delta_log);
-  p.delta_log.clear();
-  std::uint64_t bytes = 0;
-  const Status s = WriteDeltaSegment(path, segment, &bytes);
-  if (!s.ok()) {
-    // The write failed but the history is still the truth — put it back so
-    // a retry (or a fallback full save) does not lose the chain.
-    p.delta_log = std::move(segment.records);
-    return s;
-  }
-  if (info != nullptr) {
-    info->bytes = bytes;
-    info->records = segment.records.size();
-    info->edges = segment.NumEdges();
-  }
+  // A full save is a checkpoint: whatever history the log held is now
+  // covered by the base snapshot. Replay of a later chain starts from the
+  // flushed state written here, which is why no marker needs to survive
+  // the reset. The window log rides in the snapshot's window section.
+  SPADE_RETURN_NOT_OK(p->spade.Flush());
+  const std::vector<Edge> window(p->window_log.begin(), p->window_log.end());
+  SPADE_RETURN_NOT_OK(
+      SaveSnapshot(path, p->spade.graph(), &p->spade.peel_state(), window));
+  p->delta_log.clear();
+  p->delta_overflow = false;
+  if (start_delta_tracking) p->delta_tracking = true;
   return Status::OK();
-}
-
-Status ShardWorker::SaveDelta(const std::string& path, std::uint32_t shard,
-                              std::uint64_t prev_epoch, std::uint64_t epoch,
-                              DeltaSaveInfo* info) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::SaveDelta requires a sole-partition worker; use "
-        "SavePartitionDelta");
-  }
-  return SaveDeltaLocked(*p, path, shard, prev_epoch, epoch, info);
 }
 
 Status ShardWorker::SavePartitionDelta(std::size_t pid,
@@ -717,14 +628,44 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
         "ShardWorker::SavePartitionDelta: partition not owned by this "
         "worker");
   }
-  return SaveDeltaLocked(*p, path, shard, prev_epoch, epoch, info);
+  if (!p->delta_tracking) {
+    return Status::FailedPrecondition(
+        "ShardWorker::SavePartitionDelta: no checkpoint baseline (run a "
+        "full SavePartition first)");
+  }
+  if (p->delta_overflow) {
+    return Status::FailedPrecondition(
+        "ShardWorker::SavePartitionDelta: delta log overflowed; a full "
+        "SavePartition is required");
+  }
+  DeltaSegment segment;
+  segment.shard = shard;
+  segment.prev_epoch = prev_epoch;
+  segment.epoch = epoch;
+  segment.records = std::move(p->delta_log);
+  p->delta_log.clear();
+  std::uint64_t bytes = 0;
+  const Status s = WriteDeltaSegment(path, segment, &bytes);
+  if (!s.ok()) {
+    // The write failed but the history is still the truth — put it back so
+    // a retry (or a fallback full save) does not lose the chain.
+    p->delta_log = std::move(segment.records);
+    return s;
+  }
+  if (info != nullptr) {
+    info->bytes = bytes;
+    info->records = segment.records.size();
+    info->edges = segment.NumEdges();
+  }
+  return Status::OK();
 }
 
 void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   if (!p.delta_tracking || p.delta_overflow) return;
   if (p.delta_log.size() >= options_.max_delta_log) {
     // Unbounded history is worse than a forced full checkpoint: drop the
-    // log, remember the overflow, and let the next SaveDelta fail fast.
+    // log, remember the overflow, and let the next SavePartitionDelta
+    // fail fast.
     p.delta_log.clear();
     p.delta_log.shrink_to_fit();
     p.delta_overflow = true;
@@ -733,53 +674,13 @@ void ShardWorker::AppendDeltaRecord(Partition& p, const DeltaRecord& record) {
   p.delta_log.push_back(record);
 }
 
-void ShardWorker::RebaselineLocked(Partition& p, bool flush) {
-  // Re-baseline the alert filter on the restored community and cache it so
-  // readers switch over atomically (the caller republishes the argmax).
-  // The non-flushing read preserves the replayed benign buffer (Lemma 4.4:
-  // buffered edges cannot have improved the community, so the baseline is
-  // the same either way).
-  Community restored =
-      flush ? p.spade.Detect() : p.spade.peel_state().DetectCommunity();
-  p.last_reported = SortedMembers(restored);
-  p.last_density = restored.density;
-  p.since_detect = 0;
-  p.current = std::make_shared<const Community>(std::move(restored));
-}
-
-Status ShardWorker::RestoreState(const std::string& path) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::RestoreState requires a sole-partition worker");
-  }
-  DynamicGraph graph;
-  PeelState state;
-  bool state_present = false;
-  std::vector<Edge> window;
-  SPADE_RETURN_NOT_OK(
-      LoadSnapshot(path, &graph, &state, &state_present, &window));
-  p->spade.RestoreFromParts(std::move(graph), std::move(state),
-                            state_present);
-  p->window_log.assign(window.begin(), window.end());
-  p->delta_log.clear();
-  p->delta_overflow = false;
-  RebaselineLocked(*p, /*flush=*/true);
-  PublishArgmaxLocked();
-  return Status::OK();
-}
-
-Status ShardWorker::RestoreChainLocked(Partition& p, RestorePlan&& plan) {
-  p.spade.RestoreFromParts(std::move(plan.graph), std::move(plan.state),
-                           plan.state_present);
-  p.window_log.assign(plan.window.begin(), plan.window.end());
+Status ShardWorker::ReplayChainLocked(Partition& p,
+                                      std::span<const DeltaSegment> segments) {
   // Replay the applied history through the same entry points the live
   // worker used. Every record passed CRC validation and came from a
   // successfully applied edge, so a failure here is a logic error — but
   // it still surfaces as a Status, not a partial silent state.
-  for (const DeltaSegment& segment : plan.segments) {
+  for (const DeltaSegment& segment : segments) {
     for (const DeltaRecord& record : segment.records) {
       if (record.flush) {
         SPADE_RETURN_NOT_OK(p.spade.Flush());
@@ -795,24 +696,26 @@ Status ShardWorker::RestoreChainLocked(Partition& p, RestorePlan&& plan) {
       }
     }
   }
+  // The replayed records came from a sealed checkpoint: the detector now
+  // matches that checkpoint, so the in-memory history restarts from it
+  // (after a standby replay the owner also invalidates its chain cache,
+  // making the next save a full base — see
+  // ShardedDetectionService::ApplyChainEpoch).
   p.delta_log.clear();
   p.delta_overflow = false;
   p.delta_tracking = true;
-  RebaselineLocked(p, /*flush=*/false);
+  // Re-baseline the alert filter on the restored community and cache it so
+  // readers switch over atomically. The non-flushing read preserves the
+  // replayed benign buffer, so the restored detector keeps matching the
+  // live one (Lemma 4.4: buffered edges cannot have improved the
+  // community, so the baseline is the same either way).
+  Community restored = p.spade.peel_state().DetectCommunity();
+  p.last_reported = SortedMembers(restored);
+  p.last_density = restored.density;
+  p.since_detect = 0;
+  p.current = std::make_shared<const Community>(std::move(restored));
   PublishArgmaxLocked();
   return Status::OK();
-}
-
-Status ShardWorker::RestoreChain(RestorePlan&& plan) {
-  Drain();
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::RestoreChain requires a sole-partition worker; use "
-        "RestorePartitionChain");
-  }
-  return RestoreChainLocked(*p, std::move(plan));
 }
 
 Status ShardWorker::RestorePartitionChain(std::size_t pid,
@@ -825,52 +728,10 @@ Status ShardWorker::RestorePartitionChain(std::size_t pid,
         "ShardWorker::RestorePartitionChain: partition not owned by this "
         "worker");
   }
-  return RestoreChainLocked(*p, std::move(plan));
-}
-
-Status ShardWorker::ReplaySegmentLocked(Partition& p,
-                                        const DeltaSegment& segment) {
-  for (const DeltaRecord& record : segment.records) {
-    if (record.flush) {
-      SPADE_RETURN_NOT_OK(p.spade.Flush());
-    } else if (record.retire) {
-      SPADE_RETURN_NOT_OK(ReplayRetireLocked(p, record.edge));
-    } else {
-      double applied = 0;
-      SPADE_RETURN_NOT_OK(p.spade.ApplyEdge(record.edge, &applied));
-      if (options_.track_window) {
-        p.window_log.push_back(Edge{record.edge.src, record.edge.dst,
-                                    applied, record.edge.ts});
-      }
-    }
-  }
-  // The replayed records came from a sealed checkpoint: the detector now
-  // matches that checkpoint, so the in-memory history restarts from it
-  // (the owner invalidates its chain cache, making the next save a full
-  // base — see ShardedDetectionService::ApplyChainEpoch).
-  p.delta_log.clear();
-  p.delta_overflow = false;
-  p.delta_tracking = true;
-  RebaselineLocked(p, /*flush=*/false);
-  PublishArgmaxLocked();
-  return Status::OK();
-}
-
-Status ShardWorker::ReplaySegment(const DeltaSegment& segment,
-                                  std::chrono::milliseconds drain_timeout) {
-  if (!DrainFor(drain_timeout)) {
-    return Status::FailedPrecondition(
-        "ReplaySegment: shard queue did not drain within " +
-        std::to_string(drain_timeout.count()) + "ms");
-  }
-  std::lock_guard<std::mutex> lock(detector_mutex_);
-  Partition* p = SolePartitionLocked();
-  if (p == nullptr) {
-    return Status::FailedPrecondition(
-        "ShardWorker::ReplaySegment requires a sole-partition worker; use "
-        "ReplayPartitionSegment");
-  }
-  return ReplaySegmentLocked(*p, segment);
+  p->spade.RestoreFromParts(std::move(plan.graph), std::move(plan.state),
+                            plan.state_present);
+  p->window_log.assign(plan.window.begin(), plan.window.end());
+  return ReplayChainLocked(*p, plan.segments);
 }
 
 Status ShardWorker::ReplayPartitionSegment(
@@ -888,7 +749,7 @@ Status ShardWorker::ReplayPartitionSegment(
         "ShardWorker::ReplayPartitionSegment: partition not owned by this "
         "worker");
   }
-  return ReplaySegmentLocked(*p, segment);
+  return ReplayChainLocked(*p, std::span<const DeltaSegment>(&segment, 1));
 }
 
 void ShardWorker::InspectDetector(
@@ -1031,7 +892,7 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
         p->window_log.push_back(Edge{edge.src, edge.dst, applied, edge.ts});
       }
       // Boundary push under the detector mutex: any state snapshot
-      // that contains this edge (SaveState locks after Drain) is
+      // that contains this edge (SavePartition locks after Drain) is
       // therefore saved after its boundary record exists, so a
       // restored fleet can always rediscover the seam. Keyed by
       // partition home, so the record survives a partition move.

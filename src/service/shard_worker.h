@@ -6,9 +6,8 @@
 // *partitions* — each a Spade detector plus its window log, delta log and
 // alert baseline — and a partition can be detached from a loaded worker
 // and attached to an idle one at a drain boundary, moving the detector by
-// pointer. With a single partition and no partition function (the default,
-// and everything DetectionService uses) the worker behaves exactly as
-// before.
+// pointer. With a single partition and no partition function (a fleet
+// with fixed placement) every routed edge belongs to that one partition.
 //
 // The three client-visible paths are decoupled so none of them serializes
 // on an in-flight reorder:
@@ -138,8 +137,8 @@ using PartitionOfFn = std::function<std::size_t(const Edge&)>;
 /// the remainder later. Called with no worker lock held.
 using ForwardFn = std::function<std::size_t(std::span<const Edge>)>;
 
-/// Per-shard service configuration (shared by DetectionService and every
-/// shard of a ShardedDetectionService).
+/// Per-shard configuration, applied to every worker of a
+/// ShardedDetectionService.
 struct DetectionServiceOptions {
   /// Republish (and possibly alert) after at most this many applied edges
   /// even if no urgent edge arrived. A cadence hit does NOT fold the benign
@@ -164,10 +163,6 @@ struct DetectionServiceOptions {
   /// stops checkpointing must not grow without bound: at the cap the log
   /// is dropped and the next checkpoint falls back to a full snapshot.
   std::size_t max_delta_log = 1 << 20;
-  /// CPU to pin the worker thread to (-1 = unpinned). Linux-only
-  /// (pthread_setaffinity_np); elsewhere, and for CPUs that do not exist,
-  /// the worker logs a warning and runs unpinned.
-  int cpu = -1;
   /// Keep a per-edge window log (applied weight + event timestamp, arrival
   /// order) so SubmitRetire can expire edges. Off by default: an
   /// insert-only worker pays nothing for the window machinery.
@@ -209,37 +204,32 @@ class ShardWorker {
     std::uint64_t recent_load = 0;
   };
 
-  /// Initial partition assignment for the multi-partition constructor.
+  /// Initial partition assignment for the constructor.
   struct PartitionSeed {
     std::size_t pid = 0;
     Spade spade;
   };
 
-  /// Single-partition worker (the pre-rebalance shape; DetectionService
-  /// and non-rebalancing fleets use this). Takes ownership of a fully
-  /// built detector (graph loaded, semantics installed). Edge grouping is
-  /// turned on; the worker starts immediately. `on_retire` (optional)
-  /// fires around every retire pass that removes at least one edge (see
-  /// RetireNotifyFn); `on_boundary` (optional) fires per applied/retired
-  /// edge inside the apply critical section (see BoundaryUpdateFn).
-  ShardWorker(Spade spade, FraudAlertFn on_alert,
-              DetectionServiceOptions options = {},
-              RetireNotifyFn on_retire = nullptr,
-              BoundaryUpdateFn on_boundary = nullptr);
-
-  /// Multi-partition worker. `total_partitions` sizes the pid lookup table
-  /// (a detached partition's slot goes null; AttachPartition refills it).
-  /// `partition_of` maps an edge to its pid (null = sole-partition mode:
+  /// Takes ownership of fully built detectors (graph loaded, semantics
+  /// installed), one per seed; edge grouping is turned on and the worker
+  /// starts immediately. `total_partitions` sizes the pid lookup table (a
+  /// detached partition's slot goes null; AttachPartition refills it).
+  /// `partition_of` maps an edge to its pid (null = fixed placement:
   /// requires exactly one seed); `forward` re-submits edges for partitions
   /// this worker does not own (null = unowned edges are dropped with a
-  /// warning — only sound when partitions never move). `slab_pool`
-  /// (optional) receives consumed batch slabs for recycling.
+  /// warning — only sound when partitions never move). `cpu` pins the
+  /// worker thread (-1 = unpinned; Linux-only — elsewhere, and for CPUs
+  /// that do not exist, the worker logs a warning and runs unpinned).
+  /// `on_retire` (optional) fires around every retire pass that removes at
+  /// least one edge (see RetireNotifyFn); `on_boundary` (optional) fires
+  /// per applied/retired edge inside the apply critical section (see
+  /// BoundaryUpdateFn). `slab_pool` (optional) receives consumed batch
+  /// slabs for recycling.
   ShardWorker(std::vector<PartitionSeed> seeds, std::size_t total_partitions,
               PartitionOfFn partition_of, ForwardFn forward,
-              FraudAlertFn on_alert, DetectionServiceOptions options = {},
-              RetireNotifyFn on_retire = nullptr,
-              BoundaryUpdateFn on_boundary = nullptr,
-              std::shared_ptr<SlabPool> slab_pool = nullptr);
+              FraudAlertFn on_alert, DetectionServiceOptions options, int cpu,
+              RetireNotifyFn on_retire, BoundaryUpdateFn on_boundary,
+              std::shared_ptr<SlabPool> slab_pool);
 
   /// Stops the worker, draining queued edges first.
   ~ShardWorker();
@@ -453,78 +443,56 @@ class ShardWorker {
     std::vector<Edge> window;  // base snapshot's window log (may be empty)
   };
 
-  // --- sole-partition persistence (DetectionService and single-partition
-  // fleets; fails kFailedPrecondition when the worker does not own exactly
-  // one partition) ----------------------------------------------------------
-
-  /// Drains, then persists the full detector state under the detector
-  /// lock. Safe to call while producers keep submitting; the snapshot is a
-  /// consistent prefix of the stream. A full save is a checkpoint: the
-  /// delta log is reset, and with `start_delta_tracking` the worker begins
-  /// (or continues) recording applied history for a future SaveDelta.
-  Status SaveState(const std::string& path,
-                   bool start_delta_tracking = false);
-
-  /// Incremental checkpoint: drains, then writes only the applied history
-  /// since the last checkpoint as a delta segment advancing `prev_epoch`
-  /// -> `epoch`, and clears the log. Cost is O(edges since last
-  /// checkpoint) — the detector state is not touched (no flush, no
-  /// reorder). Fails with kFailedPrecondition when no checkpoint baseline
-  /// exists (tracking never started) or the log overflowed
-  /// `max_delta_log`; the caller falls back to a full SaveState.
-  Status SaveDelta(const std::string& path, std::uint32_t shard,
-                   std::uint64_t prev_epoch, std::uint64_t epoch,
-                   DeltaSaveInfo* info = nullptr);
-
-  /// Drains, then replaces the detector state from a snapshot written by
-  /// SaveState. The detector's installed semantics are reused; the restored
-  /// community is republished and becomes the alert baseline.
-  Status RestoreState(const std::string& path);
-
-  /// Drains, installs the plan's base state, and replays its delta chain
-  /// through the normal ApplyEdge / Flush path — the restored detector
-  /// re-makes exactly the decisions the live one made (DESIGN.md §5), so
-  /// the result is bit-identical to the detector that wrote the chain.
-  /// Leaves delta tracking armed for the next incremental checkpoint.
-  Status RestoreChain(RestorePlan&& plan);
-
-  /// Replays one already-validated delta segment on top of the current
-  /// detector state — the warm-standby increment: a follower that restored
-  /// epoch E applies the segment E -> E+1 without reloading the base.
-  /// Replays through the same ApplyEdge / Flush path as RestoreChain, so
-  /// the result stays bit-identical to the primary that wrote the segment.
-  /// Fails with kFailedPrecondition when the queue cannot be drained
-  /// within `drain_timeout` (a promoted follower must not replay into a
-  /// detector with edges still in flight).
-  Status ReplaySegment(const DeltaSegment& segment,
-                       std::chrono::milliseconds drain_timeout);
-
-  /// Runs `fn` on the sole partition's detector under the detector mutex
-  /// (tests and diagnostics). Blocks this worker's apply path for the
+  /// Runs `fn` on the first owned partition's detector under the detector
+  /// mutex (tests and diagnostics). Blocks this worker's apply path for the
   /// duration; never touches the queue.
   void InspectDetector(const std::function<void(const Spade&)>& fn) const;
 
   // --- per-partition persistence (the sharded service's checkpoint path;
   // fail kNotFound when this worker does not own `pid`) ---------------------
 
-  /// SaveState for one owned partition.
+  /// Drains, then persists the partition's full detector state under the
+  /// detector lock. Safe to call while producers keep submitting; the
+  /// snapshot is a consistent prefix of the stream. A full save is a
+  /// checkpoint: the delta log is reset, and with `start_delta_tracking`
+  /// the partition begins (or continues) recording applied history for a
+  /// future SavePartitionDelta.
   Status SavePartition(std::size_t pid, const std::string& path,
                        bool start_delta_tracking = false);
 
-  /// SaveDelta for one owned partition (`shard` is the manifest's segment
-  /// tag — the sharded service passes the pid).
+  /// Incremental checkpoint: drains, then writes only the partition's
+  /// applied history since the last checkpoint as a delta segment tagged
+  /// `shard` (the sharded service passes the pid) advancing `prev_epoch`
+  /// -> `epoch`, and clears the log. Cost is O(edges since last
+  /// checkpoint) — the detector state is not touched (no flush, no
+  /// reorder). Fails with kFailedPrecondition when no checkpoint baseline
+  /// exists (tracking never started) or the log overflowed
+  /// `max_delta_log`; the caller falls back to a full SavePartition.
   Status SavePartitionDelta(std::size_t pid, const std::string& path,
                             std::uint32_t shard, std::uint64_t prev_epoch,
                             std::uint64_t epoch,
                             DeltaSaveInfo* info = nullptr);
 
-  /// RestoreChain for one owned partition. Safe to run concurrently with
-  /// other workers' restores (each call only touches its own worker's
-  /// detector mutex), which is how the sharded service parallelizes
-  /// restore-side replay; two partitions on the same worker serialize.
+  /// Drains, installs the plan's base state, and replays its delta chain
+  /// through the normal ApplyEdge / Flush path — the restored detector
+  /// re-makes exactly the decisions the live one made (DESIGN.md §5), so
+  /// the result is bit-identical to the detector that wrote the chain. The
+  /// restored community is republished and becomes the alert baseline;
+  /// delta tracking stays armed for the next incremental checkpoint. Safe
+  /// to run concurrently with other workers' restores (each call only
+  /// touches its own worker's detector mutex), which is how the sharded
+  /// service parallelizes restore-side replay; two partitions on the same
+  /// worker serialize.
   Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan);
 
-  /// ReplaySegment for one owned partition.
+  /// Replays one already-validated delta segment on top of the partition's
+  /// current state — the warm-standby increment: a follower that restored
+  /// epoch E applies the segment E -> E+1 without reloading the base.
+  /// Same replay path as RestorePartitionChain, so the result stays
+  /// bit-identical to the primary that wrote the segment. Fails with
+  /// kFailedPrecondition when the queue cannot be drained within
+  /// `drain_timeout` (a promoted follower must not replay into a detector
+  /// with edges still in flight).
   Status ReplayPartitionSegment(std::size_t pid, const DeltaSegment& segment,
                                 std::chrono::milliseconds drain_timeout);
 
@@ -622,8 +590,8 @@ class ShardWorker {
   }
 
   /// Looks up the owned partition for an edge (detector mutex held):
-  /// partition_of_ -> pid -> ownership table, or the sole partition in
-  /// sole-partition mode. Null when this worker does not own the pid.
+  /// partition_of_ -> pid -> ownership table, or the one partition under
+  /// fixed placement. Null when this worker does not own the pid.
   Partition* PartitionForLocked(const Edge& edge);
 
   /// Finds an owned partition by pid (detector mutex held).
@@ -650,13 +618,6 @@ class ShardWorker {
   /// matching entry from the replayed window log.
   Status ReplayRetireLocked(Partition& p, const Edge& record);
 
-  /// Re-baselines a partition's alert filter on its current community and
-  /// stores it as the partition's cached snapshot (detector mutex held).
-  /// `flushed` selects Detect() (full restore: buffer is empty anyway) vs
-  /// the non-flushing read (chain restore: the replayed benign buffer must
-  /// survive so the restored detector keeps matching the live one).
-  void RebaselineLocked(Partition& p, bool flush);
-
   /// Publishes the densest community across owned partitions (detector
   /// mutex held). An empty worker publishes an empty community.
   void PublishArgmaxLocked();
@@ -677,19 +638,13 @@ class ShardWorker {
     return std::move(pending_alerts_);
   }
 
-  /// Requires sole-partition mode; returns the partition or null (legacy
-  /// persistence entry points).
-  Partition* SolePartitionLocked();
-
-  /// Shared bodies for the sole-partition and per-partition persistence
-  /// entry points (detector mutex held).
-  Status SavePartitionLocked(Partition& p, const std::string& path,
-                             bool start_delta_tracking);
-  Status SaveDeltaLocked(Partition& p, const std::string& path,
-                         std::uint32_t shard, std::uint64_t prev_epoch,
-                         std::uint64_t epoch, DeltaSaveInfo* info);
-  Status RestoreChainLocked(Partition& p, RestorePlan&& plan);
-  Status ReplaySegmentLocked(Partition& p, const DeltaSegment& segment);
+  /// Replays `segments`' records in order on top of the partition's
+  /// current state, then restarts its delta log from that checkpoint,
+  /// re-baselines its alert filter and republishes (detector mutex held).
+  /// The one replay loop behind RestorePartitionChain and
+  /// ReplayPartitionSegment.
+  Status ReplayChainLocked(Partition& p,
+                           std::span<const DeltaSegment> segments);
 
   DetectionServiceOptions options_;
   FraudAlertFn on_alert_;

@@ -161,7 +161,7 @@ ShardedDetectionService::ShardedDetectionService(
   // Routing and forwarding closures read `this->map_` and
   // `this->options_.partitioner` — both fully built before any worker
   // exists. Null in fixed-placement mode: the worker then runs the
-  // zero-overhead sole-partition path.
+  // zero-overhead one-partition path.
   PartitionOfFn partition_of;
   if (multi) {
     partition_of = [this](const Edge& e) { return PartitionOf(e); };
@@ -173,10 +173,9 @@ ShardedDetectionService::ShardedDetectionService(
       shard_alert = [this, i](const Community& c) { on_alert_(i, c); };
     }
     DetectionServiceOptions worker_options = options_.shard;
-    if (!options_.shard_cpus.empty()) {
-      worker_options.cpu =
-          options_.shard_cpus[i % options_.shard_cpus.size()];
-    }
+    const int cpu = options_.shard_cpus.empty()
+                        ? -1
+                        : options_.shard_cpus[i % options_.shard_cpus.size()];
     RetireNotifyFn shard_retire;
     if (options_.window.span > 0) {
       worker_options.track_window = true;
@@ -198,12 +197,12 @@ ShardedDetectionService::ShardedDetectionService(
     }
     workers_.push_back(std::make_unique<ShardWorker>(
         std::move(seeds), num_partitions, partition_of, std::move(forward),
-        std::move(shard_alert), worker_options, std::move(shard_retire),
+        std::move(shard_alert), worker_options, cpu, std::move(shard_retire),
         boundary_hook, slab_pool_));
   }
   // The interval path runs for a single shard too: a stitch pass there is
   // just "publish the one shard's snapshot with provenance", which is what
-  // makes CurrentGlobalCommunity(kStitched) well-defined (stitch_passes
+  // makes CurrentGlobalCommunity() well-defined (stitch_passes
   // advances, shards == {0}) instead of silently never stitching.
   if (options_.stitch.interval_ms > 0 || trigger_armed) {
     stitcher_ = std::thread([this] { StitcherLoop(); });
@@ -725,11 +724,7 @@ void ShardedDetectionService::StoreStitched(
 #endif
 }
 
-Community ShardedDetectionService::CurrentCommunity(
-    GlobalReadMode mode) const {
-  if (mode == GlobalReadMode::kStitched) {
-    return CurrentGlobalCommunity();
-  }
+Community ShardedDetectionService::CurrentCommunity() const {
   const auto [shard, snap] = ArgmaxSnapshot();
   return snap ? *snap : Community{};
 }
@@ -762,7 +757,9 @@ GlobalCommunity ShardedDetectionService::StitchNow() {
 }
 
 GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
-  if (options_.stitch.drain_before_stitch) Drain();
+  // Drain first, so the seam graph reflects every edge submitted before
+  // the pass (the exactness the differential suite pins).
+  Drain();
 
   GlobalCommunity result;
   bool fire_alert = false;
@@ -1126,8 +1123,7 @@ bool ParseEpochSuffix(std::string_view s, std::uint64_t* epoch) {
 /// Strict parser for epoch-stamped checkpoint artifact names: matches
 /// exactly `shard-<digits>.snapshot-<digits>`, `shard-<digits>.delta-
 /// <digits>`, `boundary.tail-<digits>` and `boundary.index-<digits>`,
-/// yielding the epoch. Legacy unstamped names (shard-<i>.snapshot,
-/// boundary.index) and every foreign file — client spill buffers, ingest
+/// yielding the epoch. Foreign files — client spill buffers, ingest
 /// seqmaps, editor droppings — never match, so sharing the directory with
 /// non-checkpoint files neither perturbs epoch numbering nor gets them
 /// garbage-collected. The single classifier serves both the GC and the
@@ -1249,13 +1245,8 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
   manifest.boundary_file = BoundaryIndexFileName(epoch);
   const std::string boundary_path = JoinPath(dir, manifest.boundary_file);
   // Save() anchors the persist cursor at exactly the prefix the file
-  // holds, so the first tail continues seamlessly. The format out-param
-  // lands in the manifest: a v2 (compacted) base announces itself so a
-  // reader rejects it up front instead of mid-parse.
-  std::uint32_t boundary_format = 1;
-  SPADE_RETURN_NOT_OK(boundary_.Save(boundary_path, &boundary_persist_cursor_,
-                                     &boundary_format));
-  manifest.boundary_format = boundary_format;
+  // holds, so the first tail continues seamlessly.
+  SPADE_RETURN_NOT_OK(boundary_.Save(boundary_path, &boundary_persist_cursor_));
   bytes += FileSizeOrZero(boundary_path);
   // Manifest last and atomically: a crash anywhere above leaves either no
   // manifest (kNotFound) or the previous epoch's manifest (clean restore
@@ -1345,9 +1336,8 @@ void ShardedDetectionService::RemoveStaleChainFiles(
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    // Only epoch-stamped artifacts are ever collected, so legacy
-    // unstamped files — and foreign files sharing the directory — survive
-    // untouched.
+    // Only epoch-stamped artifacts are ever collected, so foreign files
+    // sharing the directory survive untouched.
     std::uint64_t epoch = 0;
     if (ParseEpochStampedArtifact(name, &epoch) &&
         referenced.count(name) == 0) {
@@ -1462,12 +1452,9 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
                                      &plans[pid].window));
   }
   BoundaryEdgeIndex::FileData boundary_base;
-  const bool has_boundary = !manifest.boundary_file.empty();
-  if (has_boundary) {
-    SPADE_RETURN_NOT_OK(
-        BoundaryEdgeIndex::ReadFile(JoinPath(dir, manifest.boundary_file),
-                                    num_partitions, &boundary_base));
-  }
+  SPADE_RETURN_NOT_OK(
+      BoundaryEdgeIndex::ReadFile(JoinPath(dir, manifest.boundary_file),
+                                  num_partitions, &boundary_base));
   // Chain epochs, oldest first: stop at the first epoch with any torn or
   // corrupt file. Everything before it is durable by construction (those
   // files were fully written before the later manifest was published), so
@@ -1489,7 +1476,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       if (epoch_ok) epoch_segments[pid] = std::move(segment);
     }
     BoundaryEdgeIndex::FileData tail;
-    if (epoch_ok && has_boundary) {
+    if (epoch_ok) {
       const BoundaryTailRef& ref =
           manifest.boundary_tails[e - manifest.base_epoch - 1];
       epoch_ok = BoundaryEdgeIndex::ReadTailFile(JoinPath(dir, ref.file),
@@ -1505,7 +1492,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       delta_edges += epoch_segments[pid].NumEdges();
       plans[pid].segments.push_back(std::move(epoch_segments[pid]));
     }
-    if (has_boundary) tails.push_back(std::move(tail));
+    tails.push_back(std::move(tail));
     restored_epoch = e;
   }
 
@@ -1580,55 +1567,41 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   }
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    if (!has_boundary) {
-      // Pre-stitching snapshot: no boundary record survives; stitching
-      // resumes as cross-shard traffic arrives.
-      boundary_.Clear(&boundary_persist_cursor_);
-    } else {
-      // The epoch bump inside AdoptBuckets forces the next stitch pass to
-      // rebuild its per-vertex aggregate; tails append under the same
-      // cursor so the next SaveTail persists only post-restore records.
-      boundary_.AdoptBuckets(std::move(boundary_base),
-                             &boundary_persist_cursor_);
-      for (BoundaryEdgeIndex::FileData& tail : tails) {
-        boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
-      }
+    // The epoch bump inside AdoptBuckets forces the next stitch pass to
+    // rebuild its per-vertex aggregate; tails append under the same cursor
+    // so the next SaveTail persists only post-restore records.
+    boundary_.AdoptBuckets(std::move(boundary_base),
+                           &boundary_persist_cursor_);
+    for (BoundaryEdgeIndex::FileData& tail : tails) {
+      boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
     }
   }
 
-  // Resume the chain in this directory when it has an epoch history (v3);
-  // legacy v1/v2 directories restart with a full save.
-  if (manifest.epoch >= 1) {
-    chain_dir_ = dir;
-    chain_ = std::move(manifest);
-    if (restored_epoch < chain_.epoch) {
-      // Truncate the cached chain to the durable prefix; the dropped
-      // epochs' files are dead and will be overwritten or GC'd.
-      chain_.epoch = restored_epoch;
-      chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
-                           num_partitions);
-      if (has_boundary) {
-        chain_.boundary_tails.resize(restored_epoch - chain_.base_epoch);
-      }
-    }
-    chain_base_bytes_ = 0;
-    for (const std::string& f : chain_.files) {
-      chain_base_bytes_ += FileSizeOrZero(JoinPath(dir, f));
-    }
-    chain_delta_bytes_ = 0;
-    for (const DeltaSegmentRef& ref : chain_.deltas) {
-      chain_delta_bytes_ += FileSizeOrZero(JoinPath(dir, ref.file));
-    }
-    if (restored_epoch < manifest_epoch) {
-      // Collect the torn epochs' files now (best effort): leaving them
-      // would let a later save reuse their epoch numbers while the
-      // on-disk manifest still references the old bytes — a crash in
-      // that window would splice two timelines into one restorable (and
-      // wrong) chain.
-      RemoveStaleChainFiles(dir);
-    }
-  } else {
-    chain_dir_.clear();
+  // Resume the chain in this directory: the next save extends it.
+  chain_dir_ = dir;
+  chain_ = std::move(manifest);
+  if (restored_epoch < chain_.epoch) {
+    // Truncate the cached chain to the durable prefix; the dropped epochs'
+    // files are dead and will be overwritten or GC'd.
+    chain_.epoch = restored_epoch;
+    chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
+                         num_partitions);
+    chain_.boundary_tails.resize(restored_epoch - chain_.base_epoch);
+  }
+  chain_base_bytes_ = 0;
+  for (const std::string& f : chain_.files) {
+    chain_base_bytes_ += FileSizeOrZero(JoinPath(dir, f));
+  }
+  chain_delta_bytes_ = 0;
+  for (const DeltaSegmentRef& ref : chain_.deltas) {
+    chain_delta_bytes_ += FileSizeOrZero(JoinPath(dir, ref.file));
+  }
+  if (restored_epoch < manifest_epoch) {
+    // Collect the torn epochs' files now (best effort): leaving them would
+    // let a later save reuse their epoch numbers while the on-disk
+    // manifest still references the old bytes — a crash in that window
+    // would splice two timelines into one restorable (and wrong) chain.
+    RemoveStaleChainFiles(dir);
   }
   if (info != nullptr) {
     info->manifest_epoch = manifest_epoch;
@@ -1684,13 +1657,10 @@ Status ShardedDetectionService::ApplyChainEpoch(
     }
     segments[pid] = std::move(segment);
   }
-  const bool has_boundary = !manifest.boundary_file.empty();
   BoundaryEdgeIndex::FileData tail;
-  if (has_boundary) {
-    const BoundaryTailRef& ref = manifest.boundary_tails[epoch_row];
-    SPADE_RETURN_NOT_OK(BoundaryEdgeIndex::ReadTailFile(
-        JoinPath(dir, ref.file), num_partitions, target_epoch, &tail));
-  }
+  SPADE_RETURN_NOT_OK(BoundaryEdgeIndex::ReadTailFile(
+      JoinPath(dir, manifest.boundary_tails[epoch_row].file), num_partitions,
+      target_epoch, &tail));
 
   // ---- Phase 2: replay. Everything below passed validation. -------------
   std::uint64_t replayed = 0;
@@ -1707,9 +1677,7 @@ Status ShardedDetectionService::ApplyChainEpoch(
   }
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    if (has_boundary) {
-      boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
-    }
+    boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
   }
   // The cached save chain no longer matches the workers' (now replayed-
   // ahead) delta logs; drop it so the next SaveState writes a fresh full

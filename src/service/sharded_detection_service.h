@@ -19,8 +19,8 @@
 // to the key of a synthetic self-edge, which is exact for any partitioner
 // that only reads `src`.
 //
-// Cross-shard reads: CurrentCommunity() defaults to the densest community
-// over all shard snapshots (per-shard argmax). The stitch pass (StitchNow,
+// Cross-shard reads: CurrentCommunity() is the densest community over all
+// shard snapshots (per-shard argmax). The stitch pass (StitchNow,
 // or a background stitcher when StitchOptions::interval_ms > 0 runs it on
 // a timer and/or StitchOptions::trigger_weight > 0 wakes it the moment a
 // shard pair's accumulated unstitched weight crosses the threshold) closes
@@ -31,7 +31,7 @@
 // exactly one shard, so the union is the exact global induced subgraph),
 // peels it with the static peeler, and publishes the result as an
 // atomically-swapped GlobalCommunity snapshot — same non-blocking read
-// protocol as the shard snapshots. Reads in stitched mode return the
+// protocol as the shard snapshots. CurrentGlobalCommunity() returns the
 // denser of the stitched snapshot and the live argmax. Consumed queue
 // history is compacted to per-vertex weight blocks (resident boundary
 // memory O(boundary vertices)). DESIGN.md §4.4 has the exactness,
@@ -144,11 +144,6 @@ struct StitchOptions {
   /// included; boundary-adjacent vertices fill the remainder in decreasing
   /// order of accumulated cross-shard edge weight.
   std::size_t max_seam_vertices = 4096;
-  /// Drain every shard before gathering, so the seam graph reflects every
-  /// edge submitted before the pass (the exactness the differential suite
-  /// pins). Turning it off trades a bounded-staleness seam for not waiting
-  /// on the queues.
-  bool drain_before_stitch = true;
   /// When > 0, a background thread runs a stitch pass at this period.
   std::uint32_t interval_ms = 0;
   /// Event-driven stitching: when > 0, every applied (or retired)
@@ -264,9 +259,9 @@ struct ShardedDetectionServiceOptions {
   /// log, no watermark tracking).
   WindowOptions window;
   /// CPU pinning for the shard workers: shard i pins to
-  /// shard_cpus[i % shard_cpus.size()] (empty = every worker inherits
-  /// shard.cpu, default unpinned). Linux-only; nonexistent CPUs degrade to
-  /// a logged warning, never an error — see DetectionServiceOptions::cpu.
+  /// shard_cpus[i % shard_cpus.size()] (empty = unpinned). Linux-only;
+  /// elsewhere, and for CPUs that do not exist, the worker logs a warning
+  /// and runs unpinned — never an error.
   std::vector<int> shard_cpus;
   /// Threads used by RestoreState's chain replay: 0 = one per shard (the
   /// default — each shard's chain replays only into its own detector, so
@@ -329,17 +324,11 @@ struct ShardedServiceStats {
   std::vector<std::size_t> shard_partitions;
 };
 
-/// Partition-parallel streaming front-end over N Spade detectors.
+/// Partition-parallel streaming front-end over N Spade detectors. With one
+/// shard it is the single-node service: the paper's Figure 1 deployment
+/// loop, one detector fed by concurrent producers.
 class ShardedDetectionService {
  public:
-  /// How CurrentCommunity() combines the shard views.
-  enum class GlobalReadMode {
-    /// Densest single-shard snapshot (never sees cross-shard communities).
-    kArgmax,
-    /// Denser of the latest stitched snapshot and the live argmax.
-    kStitched,
-  };
-
   /// Takes ownership of one fully built detector per PARTITION (all built
   /// with the same semantics; each should hold its partition's initial
   /// graph). With the default RebalanceOptions a partition is a shard and
@@ -419,25 +408,24 @@ class ShardedDetectionService {
   /// Idempotent.
   void Stop();
 
-  /// Global community read. kArgmax: densest community over all shard
-  /// snapshots (ties break toward the lower shard id; never blocks on any
-  /// apply path). kStitched: the denser of the latest stitched snapshot and
-  /// the live argmax — still lock-free, but only as fresh as the last
-  /// stitch pass. While no retire pass has touched a contributing shard, a
-  /// stitched snapshot's density is a valid lower bound of its member set's
-  /// current density (inserts only grow a fixed set's induced density).
-  /// Window expiry breaks that bound — deletions can make a stale stitched
-  /// density OVERSTATE the live one — so every retire pass that removes
-  /// edges from a contributing shard drops the published stitched snapshot,
-  /// and stitched reads fall back to the live argmax until the next pass.
-  Community CurrentCommunity(
-      GlobalReadMode mode = GlobalReadMode::kArgmax) const;
+  /// Densest community over all shard snapshots (ties break toward the
+  /// lower shard id; never blocks on any apply path). Never sees a
+  /// community that spans shards; CurrentGlobalCommunity() does.
+  Community CurrentCommunity() const;
 
   /// Stitched read with provenance: the denser of the latest stitched
-  /// snapshot and the live argmax, tagged with contributing shards.
+  /// snapshot and the live argmax, tagged with contributing shards — still
+  /// lock-free, but only as fresh as the last stitch pass. While no retire
+  /// pass has touched a contributing shard, a stitched snapshot's density
+  /// is a valid lower bound of its member set's current density (inserts
+  /// only grow a fixed set's induced density). Window expiry breaks that
+  /// bound — deletions can make a stale stitched density OVERSTATE the
+  /// live one — so every retire pass that removes edges from a
+  /// contributing shard drops the published stitched snapshot, and
+  /// stitched reads fall back to the live argmax until the next pass.
   GlobalCommunity CurrentGlobalCommunity() const;
 
-  /// Runs a stitch pass now: (drain,) fold the boundary index, gather the
+  /// Runs a stitch pass now: drain, fold the boundary index, gather the
   /// seam graph from the shard detectors, peel it, publish and return the
   /// winner. Concurrent calls serialize. See class comment.
   GlobalCommunity StitchNow();
@@ -574,11 +562,9 @@ class ShardedDetectionService {
   /// default (each chain replays only into its own detector, so the result
   /// is bit-identical to a serial restore; `restore_threads` caps or
   /// serializes the pool). Detectors keep their installed semantics. The
-  /// boundary index
-  /// is restored too (snapshots from before the index existed restore it
-  /// empty), and the stitched snapshot *and* the stitch/boundary counters
-  /// are reset — stats() afterwards describes the restored run, not the
-  /// one that wrote the snapshot.
+  /// boundary index is restored too, and the stitched snapshot *and* the
+  /// stitch/boundary counters are reset — stats() afterwards describes the
+  /// restored run, not the one that wrote the snapshot.
   Status RestoreState(const std::string& dir, RestoreInfo* info = nullptr);
 
   /// Warm-standby increment: applies exactly checkpoint epoch
@@ -590,7 +576,8 @@ class ShardedDetectionService {
   /// CRC-checked and chain-validated (shard index, prev_epoch contiguity
   /// against `target_epoch - 1`) before any detector is touched, so a
   /// corrupt replicated epoch fails cleanly with the fleet intact.
-  /// Replays through ShardWorker::ReplaySegment (bit-identity preserved).
+  /// Replays through ShardWorker::ReplayPartitionSegment (bit-identity
+  /// preserved).
   /// Requires a quiesced service (the follower takes no writes); a shard
   /// that cannot drain within `drain_timeout` fails the call. Invalidates
   /// the cached save chain: the next SaveState into any directory writes

@@ -2,30 +2,41 @@
 // label `stress`; the stress CI leg runs it under ASan).
 //
 // Property under test: a random single-byte flip anywhere in a snapshot
-// directory — manifest v1/v2/v3, base snapshots, boundary index + tails,
-// delta segments — is never silently accepted and never crashes. Binary
-// files carry a CRC-64 trailer (which detects every single-byte error), so
-// a flip there must make restore either fail cleanly or fall back to the
-// durable prefix that excludes the flipped epoch. The v3 manifest carries
-// an in-band crc line covering every byte, so any flip there must be
-// rejected outright. Legacy v1/v2 manifests have no checksum; for those
-// the property is weaker but still absolute: parse never crashes, and a
-// restore that succeeds anyway (a flip in an informational field) must be
-// byte-for-byte equal to the pristine restore.
+// directory — manifest, base snapshots, boundary index + tails, delta
+// segments — is never silently accepted and never crashes. Binary files
+// carry a CRC-64 trailer (which detects every single-byte error), so a flip
+// there must make restore either fail cleanly or fall back to the durable
+// prefix that excludes the flipped epoch. The manifest carries an in-band
+// crc line covering every byte, so any flip there must be rejected
+// outright.
+//
+// Each artifact has exactly one format version, and its reader rejects
+// every other one: a file whose version field is rewritten (with a valid
+// checksum) fails with a clean IOError and leaves the restoring fleet
+// untouched.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/dynamic_graph.h"
 #include "metrics/semantics.h"
 #include "service/sharded_detection_service.h"
+#include "storage/checked_io.h"
+#include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
+#include "storage/snapshot.h"
 #include "tests/test_util.h"
 
 namespace spade {
@@ -87,6 +98,32 @@ void WriteFileBytes(const std::filesystem::path& path,
                     const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A CRC-framed binary file with its u32 version field (right after the
+/// u64 magic) set to `version` and the trailer recomputed, so the version
+/// is the only thing wrong with it.
+std::string WithBinaryVersion(std::string bytes, std::uint32_t version) {
+  std::memcpy(bytes.data() + sizeof(std::uint64_t), &version,
+              sizeof(version));
+  const std::size_t payload = bytes.size() - sizeof(std::uint64_t);
+  const std::uint64_t crc = Crc64(bytes.data(), payload);
+  std::memcpy(bytes.data() + payload, &crc, sizeof(crc));
+  return bytes;
+}
+
+/// A manifest with its header line set to `version` and the crc line
+/// recomputed.
+std::string WithManifestVersion(const std::string& text,
+                                std::uint32_t version) {
+  const std::size_t eol = text.find('\n');
+  const std::size_t crc_pos = text.rfind("crc ");
+  const std::string body = "spade-shard-manifest " + std::to_string(version) +
+                           text.substr(eol, crc_pos - eol);
+  char crc_line[32];
+  std::snprintf(crc_line, sizeof(crc_line), "crc %016" PRIx64 "\n",
+                Crc64(body.data(), body.size()));
+  return body + crc_line;
 }
 
 class CorruptionFuzzTest : public ::testing::Test {
@@ -226,64 +263,96 @@ TEST_F(CorruptionFuzzTest, ManifestV3RejectsEveryFlip) {
   WriteFileBytes(path, pristine);
 }
 
-// Legacy v1/v2 manifests predate the crc line. The absolute part of the
-// property still holds: no flip crashes, and any flip that still parses
-// and restores must restore the same state as the pristine directory.
-TEST_F(CorruptionFuzzTest, LegacyManifestFlipsNeverCrashNorCorrupt) {
-  // Rewrite the directory as a legacy v2 snapshot: the epoch-1 base files
-  // copied to their pre-chain unstamped names, a hand-written v2
-  // manifest, chain files ignored.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::filesystem::copy_file(
-        std::filesystem::path(dir_) / ShardSnapshotFileName(s, 1),
-        std::filesystem::path(dir_) / ShardSnapshotFileName(s),
-        std::filesystem::copy_options::overwrite_existing);
-  }
-  std::filesystem::copy_file(
-      std::filesystem::path(dir_) / BoundaryIndexFileName(1),
-      std::filesystem::path(dir_) / kBoundaryIndexFileName,
-      std::filesystem::copy_options::overwrite_existing);
-  const auto path = std::filesystem::path(dir_) / "manifest.spade";
-  std::ostringstream v2;
-  v2 << "spade-shard-manifest 2\n"
-     << "shards " << kShards << "\n"
-     << "semantics DW\n";
-  for (std::size_t s = 0; s < kShards; ++s) {
-    v2 << "file " << s << ' ' << ShardSnapshotFileName(s) << "\n";
-  }
-  v2 << "boundary " << kBoundaryIndexFileName << "\n";
-  const std::string pristine = v2.str();
-  WriteFileBytes(path, pristine);
-
-  // Pristine v2 restore = epoch-1 state (the base snapshots ARE epoch 1).
-  std::vector<testing::ShardCapture> reference;
-  {
-    auto victim = BuildService(initial_);
-    ShardedDetectionService::RestoreInfo info;
-    ASSERT_TRUE(victim->RestoreState(dir_, &info).ok());
-    EXPECT_EQ(info.restored_epoch, 0u);  // legacy: no epoch chain
-    reference = CaptureShards(*victim);
-    for (std::size_t sh = 0; sh < kShards; ++sh) {
-      testing::ExpectShardEqualsCapture(captures_[0][sh], reference[sh]);
-    }
-  }
-
-  Rng rng(41);
-  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
-    std::string flipped = pristine;
-    flipped[pos] = static_cast<char>(
-        flipped[pos] ^ static_cast<char>(1 + rng.NextBounded(255)));
-    WriteFileBytes(path, flipped);
-    auto victim = BuildService(initial_);
-    const Status s = victim->RestoreState(dir_);
-    if (s.ok()) {
-      const auto restored = CaptureShards(*victim);
+// Each artifact's reader accepts exactly the one version its writer emits.
+// The version field is rewritten to every other value the format ever
+// used and to version + 1, with a valid checksum: the artifact's own
+// reader must fail with IOError, and so must the fleet that reads it — a
+// full restore for base files and the manifest, the warm-standby increment
+// for chain files (a full restore would fall back to epoch 1 instead) —
+// leaving that fleet exactly as it was. Rewriting to the current version
+// is the control: the rewrite itself produces a file that restores.
+TEST_F(CorruptionFuzzTest, EachReaderAcceptsOnlyItsVersion) {
+  const auto join = [](const std::string& dir, const std::string& name) {
+    return (std::filesystem::path(dir) / name).string();
+  };
+  struct Artifact {
+    std::string file;
+    std::uint32_t version;                // the one version written
+    std::vector<std::uint32_t> retired;   // versions earlier writers used
+    bool chain;                           // epoch-2 chain file
+    std::function<Status(const std::string& dir)> read;
+  };
+  const std::vector<Artifact> artifacts = {
+      {ShardSnapshotFileName(0, 1), 2, {1}, false,
+       [&](const std::string& dir) {
+         DynamicGraph g;
+         return LoadSnapshot(join(dir, ShardSnapshotFileName(0, 1)), &g,
+                             nullptr, nullptr);
+       }},
+      {ShardDeltaFileName(0, 2), 2, {1}, true,
+       [&](const std::string& dir) {
+         DeltaSegment segment;
+         return ReadDeltaSegment(join(dir, ShardDeltaFileName(0, 2)),
+                                 &segment);
+       }},
+      {BoundaryIndexFileName(1), 2, {1}, false,
+       [&](const std::string& dir) {
+         BoundaryEdgeIndex::FileData data;
+         return BoundaryEdgeIndex::ReadFile(
+             join(dir, BoundaryIndexFileName(1)), kShards, &data);
+       }},
+      {BoundaryTailFileName(2), 1, {}, true,
+       [&](const std::string& dir) {
+         BoundaryEdgeIndex::FileData data;
+         return BoundaryEdgeIndex::ReadTailFile(
+             join(dir, BoundaryTailFileName(2)), kShards, 2, &data);
+       }},
+      {"manifest.spade", 3, {1, 2}, false,
+       [](const std::string& dir) {
+         ShardManifest manifest;
+         return ReadShardManifest(dir, &manifest);
+       }},
+  };
+  for (const Artifact& a : artifacts) {
+    const std::string pristine =
+        ReadFileBytes(std::filesystem::path(dir_) / a.file);
+    ASSERT_FALSE(pristine.empty()) << a.file;
+    std::vector<std::uint32_t> versions = a.retired;
+    versions.push_back(a.version + 1);
+    versions.push_back(a.version);
+    for (const std::uint32_t version : versions) {
+      ResetWorkDir();
+      WriteFileBytes(std::filesystem::path(work_) / a.file,
+                     a.file == "manifest.spade"
+                         ? WithManifestVersion(pristine, version)
+                         : WithBinaryVersion(pristine, version));
+      const Status read = a.read(work_);
+      // A chain file is applied on top of a fleet at epoch 1 (a fresh
+      // build of the initial graph); anything else restores into an empty
+      // fleet, which a successful restore would visibly change.
+      auto victim = BuildService(a.chain ? initial_ : std::vector<Edge>{});
+      const auto before = CaptureShards(*victim);
+      const Status restore =
+          a.chain ? victim->ApplyChainEpoch(work_, 2, std::chrono::seconds(10))
+                  : victim->RestoreState(work_);
+      const auto after = CaptureShards(*victim);
+      if (version == a.version) {
+        ASSERT_TRUE(read.ok()) << a.file << ": " << read.ToString();
+        ASSERT_TRUE(restore.ok()) << a.file << ": " << restore.ToString();
+        for (std::size_t sh = 0; sh < kShards; ++sh) {
+          testing::ExpectShardEqualsCapture(captures_[1][sh], after[sh]);
+        }
+        continue;
+      }
+      EXPECT_EQ(read.code(), StatusCode::kIOError)
+          << a.file << " v" << version << ": " << read.ToString();
+      EXPECT_EQ(restore.code(), StatusCode::kIOError)
+          << a.file << " v" << version << ": " << restore.ToString();
       for (std::size_t sh = 0; sh < kShards; ++sh) {
-        testing::ExpectShardEqualsCapture(reference[sh], restored[sh]);
+        testing::ExpectShardEqualsCapture(before[sh], after[sh]);
       }
       if (::testing::Test::HasFailure()) {
-        FAIL() << "flip at v2 manifest byte " << pos
-               << " restored a different state";
+        FAIL() << "stopping after failure at " << a.file << " v" << version;
       }
     }
   }

@@ -22,8 +22,8 @@
 
 #include "common/rng.h"
 #include "metrics/semantics.h"
-#include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
+#include "tests/test_util.h"
 
 namespace spade {
 namespace {
@@ -174,14 +174,11 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
     const std::vector<Edge> shard_window = service.ShardWindow(s);
     window.insert(window.end(), shard_window.begin(), shard_window.end());
   }
-  DetectionService merged(
-      [&] {
-        Spade spade;
-        spade.SetSemantics(MakeDW());
-        EXPECT_TRUE(spade.BuildGraph(n, {}).ok());
-        return spade;
-      }(),
-      nullptr);
+  Spade empty;
+  empty.SetSemantics(MakeDW());
+  ASSERT_TRUE(empty.BuildGraph(n, {}).ok());
+  ShardedDetectionService merged(testing::OneShard(std::move(empty)),
+                                 nullptr);
   for (const Edge& e : window) ASSERT_TRUE(merged.Submit(e).ok());
   merged.Drain();
   const double truth = merged.CurrentCommunity().density;

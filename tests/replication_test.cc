@@ -23,7 +23,6 @@
 #include "net/ingest_server.h"
 #include "net/replicator.h"
 #include "net/wire_format.h"
-#include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
 #include "storage/sharded_snapshot.h"
 #include "tests/test_util.h"
@@ -143,7 +142,8 @@ TEST(DrainFor, SingleShardServiceBoundedWait) {
   Spade spade;
   spade.SetSemantics(MakeDW());
   ASSERT_TRUE(spade.BuildGraph(kVertices, {}).ok());
-  DetectionService service(std::move(spade), nullptr);
+  ShardedDetectionService service(testing::OneShard(std::move(spade)),
+                                  nullptr);
   EXPECT_TRUE(service.DrainFor(std::chrono::milliseconds(500)));
   for (const Edge& e : MakeEdges(256, 3)) {
     ASSERT_TRUE(service.Submit(e).ok());

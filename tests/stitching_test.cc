@@ -3,7 +3,7 @@
 //  * Differential: seeded randomized streams (same generator shape as
 //    differential_test.cc, insert-only since the service has no delete
 //    path) driven into a stitched ShardedDetectionService at 2/4/8 shards
-//    AND into one single-shard DetectionService; the stitched global
+//    AND into one single-shard service; the stitched global
 //    community's density must match the merged detector's within
 //    tie-exactness — including streams whose densest community is entirely
 //    cross-shard (every one of its edges is a boundary edge).
@@ -36,8 +36,8 @@
 #include "graph/dynamic_graph.h"
 #include "metrics/density.h"
 #include "metrics/semantics.h"
-#include "service/detection_service.h"
 #include "service/sharded_detection_service.h"
+#include "tests/test_util.h"
 
 namespace spade {
 namespace {
@@ -155,7 +155,8 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
     const GlobalCommunity stitched = service.StitchNow();
 
     // Merged reference: the same stream through one single-shard service.
-    DetectionService merged_service(BuildMergedDetector(n), nullptr);
+    ShardedDetectionService merged_service(
+        testing::OneShard(BuildMergedDetector(n)), nullptr);
     for (const Edge& e : stream) ASSERT_TRUE(merged_service.Submit(e).ok());
     merged_service.Drain();
     const Community merged = merged_service.CurrentCommunity();
@@ -170,10 +171,8 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
                 stitched.members.end());
     }
 
-    // The stitched read mode serves the same answer, lock-free.
-    const Community read =
-        service.CurrentCommunity(
-            ShardedDetectionService::GlobalReadMode::kStitched);
+    // The stitched read serves the same answer, lock-free.
+    const Community read = service.CurrentGlobalCommunity();
     EXPECT_NEAR(read.density, merged.density, 1e-9);
 
     // Exactness from definition: the stitched density equals g(S) of the
@@ -251,7 +250,8 @@ TEST_P(StitchDifferentialTest, EntirelyCrossShardCommunityIsStitched) {
   }
 
   // Merged reference agrees exactly.
-  DetectionService merged_service(BuildMergedDetector(n), nullptr);
+  ShardedDetectionService merged_service(
+      testing::OneShard(BuildMergedDetector(n)), nullptr);
   for (const Edge& e : stream) ASSERT_TRUE(merged_service.Submit(e).ok());
   merged_service.Drain();
   const Community merged = merged_service.CurrentCommunity();
@@ -414,7 +414,8 @@ TEST(TenantStitchingTest, CrossTenantRingIsRecordedAndDetected) {
 
   // Merged reference: the ring's density is exactly what one detector over
   // everything reports.
-  DetectionService merged_service(BuildMergedDetector(n), nullptr);
+  ShardedDetectionService merged_service(
+      testing::OneShard(BuildMergedDetector(n)), nullptr);
   for (const Edge& e : stream) ASSERT_TRUE(merged_service.Submit(e).ok());
   merged_service.Drain();
   EXPECT_NEAR(stitched.density, merged_service.CurrentCommunity().density,
@@ -476,7 +477,7 @@ TEST(TenantStitchingTest, PeriodicStitcherPublishes) {
 // ------------------------------------------------------------------------
 
 // Regression: a single-shard service with interval_ms > 0 used to never
-// start the stitcher (silently: stitch_passes stayed 0 and a kStitched
+// start the stitcher (silently: stitch_passes stayed 0 and a stitched
 // read never carried provenance). It must behave as the 1-shard member of
 // the sharded family: passes run, the published global community is the
 // shard's own argmax with shards == {0}.
@@ -534,7 +535,8 @@ TEST(MessageDrivenStitchingTest, TriggerWakesStitcherWithoutTimer) {
   service.Drain();
 
   // The differential anchor: the triggered pass is exact, not heuristic.
-  DetectionService merged(BuildMergedDetector(n), nullptr);
+  ShardedDetectionService merged(testing::OneShard(BuildMergedDetector(n)),
+                                 nullptr);
   for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
   merged.Drain();
   const double want = merged.CurrentCommunity().density;
@@ -602,7 +604,8 @@ TEST(MessageDrivenStitchingTest, SeamTruncationIsReportedAndEscalated) {
                                     options);
     SubmitAll(&service, stream);
     service.Drain();
-    DetectionService merged(BuildMergedDetector(n), nullptr);
+    ShardedDetectionService merged(testing::OneShard(BuildMergedDetector(n)),
+                                   nullptr);
     for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
     merged.Drain();
     const double want = merged.CurrentCommunity().density;
@@ -660,8 +663,7 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   service.Drain();
 
   const GlobalCommunity after = service.CurrentGlobalCommunity();
-  const Community argmax = service.CurrentCommunity(
-      ShardedDetectionService::GlobalReadMode::kArgmax);
+  const Community argmax = service.CurrentCommunity();
   EXPECT_LT(after.density, before.density);
   EXPECT_NEAR(after.density, argmax.density, 1e-12);
   EXPECT_FALSE(after.stitched);
@@ -768,7 +770,8 @@ TEST(MessageDrivenStitchingTest, PairOverrideArmsOnlyItsPair) {
     const std::vector<Edge> stream = ring_across(1);
     SubmitAll(&service, stream);
     service.Drain();
-    DetectionService merged(BuildMergedDetector(n), nullptr);
+    ShardedDetectionService merged(testing::OneShard(BuildMergedDetector(n)),
+                                   nullptr);
     for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
     merged.Drain();
     const double want = merged.CurrentCommunity().density;

@@ -174,9 +174,9 @@ ShardManifest MakeManifest(std::uint32_t shards) {
   manifest.semantics = "DW";
   manifest.epoch = 1;
   manifest.base_epoch = 1;
-  manifest.boundary_file = kBoundaryIndexFileName;
+  manifest.boundary_file = BoundaryIndexFileName(1);
   for (std::size_t i = 0; i < shards; ++i) {
-    manifest.files.push_back(ShardSnapshotFileName(i));
+    manifest.files.push_back(ShardSnapshotFileName(i, 1));
   }
   return manifest;
 }
@@ -312,40 +312,6 @@ TEST_F(ShardManifestTest, RejectsImplausibleCounts) {
   s = ReadShardManifest(dir_, &read);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIOError);
-}
-
-// Directories written before the chain format existed (manifest v1/v2)
-// must still parse — with an empty chain at epoch 0.
-TEST_F(ShardManifestTest, ReadsLegacyV1AndV2) {
-  std::filesystem::create_directories(dir_);
-  {
-    std::ofstream out(ShardManifestPath(dir_), std::ios::trunc);
-    out << "spade-shard-manifest 1\n"
-        << "shards 2\n"
-        << "semantics DG\n"
-        << "file 0 shard-0.snapshot\n"
-        << "file 1 shard-1.snapshot\n";
-  }
-  ShardManifest v1;
-  ASSERT_TRUE(ReadShardManifest(dir_, &v1).ok());
-  EXPECT_EQ(v1.num_shards, 2u);
-  EXPECT_EQ(v1.epoch, 0u);
-  EXPECT_TRUE(v1.boundary_file.empty());
-  EXPECT_TRUE(v1.deltas.empty());
-
-  {
-    std::ofstream out(ShardManifestPath(dir_), std::ios::trunc);
-    out << "spade-shard-manifest 2\n"
-        << "shards 2\n"
-        << "semantics DG\n"
-        << "file 0 shard-0.snapshot\n"
-        << "file 1 shard-1.snapshot\n"
-        << "boundary boundary.index\n";
-  }
-  ShardManifest v2;
-  ASSERT_TRUE(ReadShardManifest(dir_, &v2).ok());
-  EXPECT_EQ(v2.boundary_file, "boundary.index");
-  EXPECT_EQ(v2.epoch, 0u);
 }
 
 TEST_F(ShardManifestTest, MissingDirectoryIsNotFound) {

@@ -1,15 +1,17 @@
 // Shared helpers for the Spade test suites: random graph construction with
-// exactly-representable weights, and reference validators for peeling
-// sequences.
+// exactly-representable weights, reference validators for peeling
+// sequences, and the shard list of a single-node service.
 
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/spade.h"
 #include "graph/dynamic_graph.h"
 #include "graph/types.h"
 #include "peel/indexed_heap.h"
@@ -48,6 +50,14 @@ inline Edge RandomEdge(Rng* rng, std::size_t n, int max_weight = 8) {
   auto dst = static_cast<VertexId>(rng->NextBounded(n));
   while (dst == src) dst = static_cast<VertexId>(rng->NextBounded(n));
   return {src, dst, static_cast<double>(1 + rng->NextBounded(max_weight)), 0};
+}
+
+/// One detector as the shard list of a one-shard ShardedDetectionService —
+/// the single-node service.
+inline std::vector<Spade> OneShard(Spade spade) {
+  std::vector<Spade> shards;
+  shards.push_back(std::move(spade));
+  return shards;
 }
 
 /// Asserts two peel states are identical (same sequence, deltas within eps).
