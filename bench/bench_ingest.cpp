@@ -8,8 +8,8 @@
 // handoff — partitioner evaluations, budget claims, ring publishes — with
 // no interference from apply work (which matters especially when
 // cores < shards and workers would otherwise time-share the producers'
-// CPUs). Boundary recording lives on the worker side of the handoff now —
-// inside the apply path — so neither mode pays it during admission. The
+// CPUs). Boundary weights update on the worker side of the handoff —
+// inside the apply path — so neither mode pays for them during admission. The
 // latch then opens and Drain() completes the run; end-to-end time is
 // reported alongside.
 //
@@ -67,8 +67,8 @@ struct IngestConfig {
   /// not queue backpressure.
   std::size_t stream_per_tenant = 8000;
   /// Fraction (per mille) of stream edges rewired to a cross-tenant
-  /// destination, so the workers' boundary-recording hook (and the
-  /// stitch-trigger accumulators behind it) is exercised under load, not
+  /// destination, so the workers' boundary-weight updates (and the
+  /// stitch-trigger accumulators behind them) are exercised under load, not
   /// just in tests.
   std::size_t cross_per_mille = 100;
   /// Coarse detection cadence: ingest (routing + handoff + apply) stays

@@ -7,11 +7,12 @@
 //
 // The demo streams normal traffic into all tenants, injects a fraud ring
 // into tenant 2, shows the shard-tagged alert, then grows a CROSS-tenant
-// collusion ring (accounts in tenants 0 and 3): each of its edges is
-// recorded in the boundary index as it is routed, and a stitch pass
-// detects the ring at its exact global density — invisible to any single
-// shard's view. Finally the whole fleet (boundary index included) is saved
-// into one snapshot directory and restored into a fresh service.
+// collusion ring (accounts in tenants 0 and 3): each of its edges adds to
+// its endpoints' boundary weights as its shard applies it, and a stitch
+// pass detects the ring at its exact global density — invisible to any
+// single shard's view. Finally the whole fleet is saved into one snapshot
+// directory and restored into a fresh service, which rebuilds the boundary
+// weights from the restored graphs.
 
 #include <algorithm>
 #include <atomic>
@@ -142,8 +143,8 @@ int main() {
 
   // A cross-tenant collusion ring: accounts in tenants 0 and 3 trade
   // heavily with each other. Every edge is cross-tenant, so each lands in
-  // its source tenant's shard AND in the boundary index — no single shard
-  // ever sees the ring whole.
+  // its source tenant's shard AND adds to its endpoints' boundary weights —
+  // no single shard ever sees the ring whole.
   std::printf("\n== cross-tenant collusion (tenants 0 and 3) ==\n");
   const auto t0 = static_cast<spade::VertexId>(0 * kVerticesPerTenant);
   const auto t3 = static_cast<spade::VertexId>(3 * kVerticesPerTenant);
@@ -171,7 +172,8 @@ int main() {
               stitched.seam_vertices, stitched.seam_edges);
 
   const spade::ShardedServiceStats stats = service.GetStats();
-  std::printf("boundary index: %llu cross-shard edges, %llu stitch passes\n",
+  std::printf("boundary weights: %llu cross-shard edges, %llu stitch "
+              "passes\n",
               static_cast<unsigned long long>(stats.boundary_edges),
               static_cast<unsigned long long>(stats.stitch_passes));
   std::printf("rebalance: %llu steals, %llu partitions moved, %llu edges "
@@ -209,8 +211,8 @@ int main() {
   std::printf("\nrestored from %s: top community has %zu accounts, "
               "density %.1f\n", dir.c_str(), back.members.size(),
               back.density);
-  // The boundary index travels with the snapshot: the restored fleet
-  // re-detects the cross-tenant ring without replaying a single edge.
+  // The restore rebuilt the boundary weights from the restored graphs: the
+  // fleet re-detects the cross-tenant ring without replaying a single edge.
   const spade::GlobalCommunity restitched = restored.StitchNow();
   std::printf("restored stitch pass: density %.1f (same cross-tenant ring: "
               "%s)\n", restitched.density,

@@ -136,7 +136,10 @@ class Spade {
   /// Number of buffered (grouped) benign edges awaiting a flush.
   std::size_t PendingBenignEdges() const { return benign_buffer_.size(); }
 
-  /// Read-only views for analysis and tests.
+  /// Read-only views for analysis and tests. The benign buffer holds
+  /// applied (post-ESusp) weights; together with graph() it is every edge
+  /// the detector has accepted.
+  const std::vector<Edge>& benign_buffer() const { return benign_buffer_; }
   const DynamicGraph& graph() const { return graph_; }
   const PeelState& peel_state() const { return state_; }
 

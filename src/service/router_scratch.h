@@ -6,8 +6,8 @@
 // call-to-call reusable arenas and a single partitioner pass:
 //
 //   * one evaluation of the routing function per edge (the boundary
-//     decision no longer lives on the router — workers record boundary
-//     edges from their apply path, at the applied semantic weight);
+//     decision does not live on the router — workers update boundary
+//     weights on their apply path, at the applied semantic weight);
 //   * a stable counting sort groups the chunk by destination shard
 //     directly into per-shard slab vectors (order within a shard equals
 //     chunk order, preserving the per-producer FIFO contract) — the slab

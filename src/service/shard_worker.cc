@@ -56,8 +56,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
                          PartitionOfFn partition_of, ForwardFn forward,
                          FraudAlertFn on_alert,
                          DetectionServiceOptions options, int cpu,
-                         RetireNotifyFn on_retire,
-                         BoundaryUpdateFn on_boundary,
+                         RetireNotifyFn on_retire, BoundaryFn is_boundary,
                          std::shared_ptr<SlabPool> slab_pool)
     : options_(options),
       on_alert_(std::move(on_alert)),
@@ -68,7 +67,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
       forward_(std::move(forward)),
       start_(std::chrono::steady_clock::now()),
       on_retire_(std::move(on_retire)),
-      on_boundary_(std::move(on_boundary)),
+      is_boundary_(std::move(is_boundary)),
       slab_pool_(std::move(slab_pool)) {
   // Without a partition function every routed edge maps to "the" partition,
   // which only makes sense when there is exactly one.
@@ -88,6 +87,7 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
     p->last_reported = SortedMembers(initial);
     p->last_density = initial.density;
     p->current = std::make_shared<const Community>(std::move(initial));
+    RebuildBoundaryLocked(*p);  // initial graphs carry cross-home edges too
     by_pid_[p->pid] = p.get();
     parts_.push_back(std::move(p));
   }
@@ -549,6 +549,7 @@ std::unique_ptr<ShardWorker::Partition> ShardWorker::DetachPartition(
   }
   if (out == nullptr) return nullptr;
   by_pid_[pid] = nullptr;
+  boundary_edges_.fetch_sub(out->boundary_edges, std::memory_order_relaxed);
   // Republish without the detached partition so a reader never sees a
   // community that two workers both claim (the new owner republishes it on
   // attach).
@@ -562,6 +563,8 @@ void ShardWorker::AttachPartition(std::unique_ptr<Partition> partition) {
   SPADE_CHECK(partition->pid < by_pid_.size());
   SPADE_CHECK(by_pid_[partition->pid] == nullptr);
   by_pid_[partition->pid] = partition.get();
+  boundary_edges_.fetch_add(partition->boundary_edges,
+                            std::memory_order_relaxed);
   parts_.push_back(std::move(partition));
   PublishArgmaxLocked();
 }
@@ -585,6 +588,54 @@ void ShardWorker::CollectInduced(std::span<const VertexId> vertices,
         }
       }
     }
+  }
+}
+
+void ShardWorker::AddBoundaryWeights(
+    std::unordered_map<VertexId, double>* weight) const {
+  std::lock_guard<std::mutex> lock(detector_mutex_);
+  for (const auto& p : parts_) {
+    for (const auto& [v, mass] : p->boundary) (*weight)[v] += mass.weight;
+  }
+}
+
+void ShardWorker::CountBoundaryLocked(Partition& p, const Edge& weighted,
+                                      int sign, bool live) {
+  if (!is_boundary_ || !is_boundary_(weighted, live)) return;
+  for (const VertexId v : {weighted.src, weighted.dst}) {
+    Partition::BoundaryMass& mass = p.boundary[v];
+    if (sign > 0) {
+      mass.weight += weighted.weight;
+      ++mass.edges;
+    } else {
+      mass.weight -= weighted.weight;
+      if (--mass.edges == 0) p.boundary.erase(v);
+    }
+  }
+  if (sign > 0) {
+    ++p.boundary_edges;
+    boundary_edges_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    --p.boundary_edges;
+    boundary_edges_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  if (live) boundary_updates_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ShardWorker::RebuildBoundaryLocked(Partition& p) {
+  if (!is_boundary_) return;
+  boundary_edges_.fetch_sub(p.boundary_edges, std::memory_order_relaxed);
+  p.boundary.clear();
+  p.boundary_edges = 0;
+  const DynamicGraph& g = p.spade.graph();
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (const NeighborEntry& e : g.OutNeighbors(v)) {
+      CountBoundaryLocked(p, Edge{v, e.vertex, e.weight, 0}, +1,
+                          /*live=*/false);
+    }
+  }
+  for (const Edge& e : p.spade.benign_buffer()) {
+    CountBoundaryLocked(p, e, +1, /*live=*/false);
   }
 }
 
@@ -715,6 +766,7 @@ Status ShardWorker::ReplayChainLocked(Partition& p,
   p.since_detect = 0;
   p.current = std::make_shared<const Community>(std::move(restored));
   PublishArgmaxLocked();
+  RebuildBoundaryLocked(p);
   return Status::OK();
 }
 
@@ -888,15 +940,9 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
     const Status s = p->spade.ApplyEdge(edge, &applied);
     if (s.ok()) {
       AppendDeltaRecord(*p, DeltaRecord::Insert(edge));
-      if (options_.track_window) {
-        p->window_log.push_back(Edge{edge.src, edge.dst, applied, edge.ts});
-      }
-      // Boundary push under the detector mutex: any state snapshot
-      // that contains this edge (SavePartition locks after Drain) is
-      // therefore saved after its boundary record exists, so a
-      // restored fleet can always rediscover the seam. Keyed by
-      // partition home, so the record survives a partition move.
-      if (on_boundary_) on_boundary_(edge, applied, /*retired=*/false);
+      const Edge weighted{edge.src, edge.dst, applied, edge.ts};
+      if (options_.track_window) p->window_log.push_back(weighted);
+      CountBoundaryLocked(*p, weighted, +1, /*live=*/true);
       processed_.fetch_add(1, std::memory_order_relaxed);
       ++p->since_detect;
       ++p->recent_load;
@@ -1131,10 +1177,7 @@ void ShardWorker::WorkerLoop() {
               continue;
             }
             AppendDeltaRecord(*p, DeltaRecord::Retire(old));
-            // Retire deltas feed the stitch trigger accumulators (seam
-            // mass changed), never the boundary record log — index
-            // eviction is horizon-driven (EvictOlderThan).
-            if (on_boundary_) on_boundary_(old, old.weight, /*retired=*/true);
+            CountBoundaryLocked(*p, old, -1, /*live=*/true);
             ++part_retired;
           }
           if (part_retired > 0) {

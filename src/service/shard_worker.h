@@ -45,6 +45,14 @@
 // (the snapshot is taken first), so a slow moderator callback can delay the
 // next detection but never blocks producers or readers.
 //
+// Boundary weights: given a cross-home classifier, each partition keeps the
+// cross-home edge mass of every vertex incident to one of its cross-home
+// edges (Partition::boundary). Apply and retire update it under the detector
+// mutex; construction, restore and replay rebuild it from the graph and the
+// benign buffer. It is derived state with no file of its own, so it holds
+// exactly the applied edges by construction. The sharded service's stitch
+// pass sums it across partitions (DESIGN.md §4.4).
+//
 // Snapshot-publication protocol (DESIGN.md §4.2): the worker publishes
 // after every urgent edge (which folds the benign buffer inside
 // Spade::ApplyEdge) and republishes at least every `detect_every` edges.
@@ -72,6 +80,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -113,17 +122,14 @@ using FraudAlertFn = std::function<void(const Community&)>;
 /// retired. No service lock is held.
 using RetireNotifyFn = std::function<void(std::size_t)>;
 
-/// Invoked from the worker thread, inside the apply critical section, for
-/// every applied edge (`retired` false, `applied` the semantic weight
-/// ApplyEdge charged) and every window-expired edge (`retired` true,
-/// `applied` the weight it was deleted at). The sharded service uses it to
-/// push boundary-vertex weight updates into the per-partition-pair stitch
-/// queues at apply time — running under the detector mutex is what
-/// guarantees an edge visible in a state snapshot has already been pushed.
-/// Keyed by partition home, so the record survives a partition move. Keep
-/// it cheap; it is on the apply hot path. Not fired during restore/replay
-/// (the boundary index restores from its own files).
-using BoundaryUpdateFn = std::function<void(const Edge&, double, bool)>;
+/// Classifies an edge (carrying its applied semantic weight) for the
+/// per-partition boundary weights: true iff its endpoints have different
+/// home partitions. Called under the detector mutex for every applied and
+/// every window-expired edge (`live` true — the sharded service feeds those
+/// into its stitch trigger accumulators) and for every edge of the rebuild
+/// pass after construction, restore and replay (`live` false). Keep it
+/// cheap; it is on the apply hot path.
+using BoundaryFn = std::function<bool(const Edge&, bool live)>;
 
 /// Maps an edge to its stable partition id. Evaluated under the detector
 /// mutex for every applied edge, so keep it cheap. Null = the worker owns
@@ -180,6 +186,13 @@ class ShardWorker {
   /// between Detach and Attach); all fields are guarded by the owning
   /// worker's detector mutex.
   struct Partition {
+    /// Applied cross-home edges incident to one vertex: their summed
+    /// applied weight and their count.
+    struct BoundaryMass {
+      double weight = 0.0;
+      std::uint64_t edges = 0;
+    };
+
     Partition(std::size_t id, Spade detector)
         : pid(id), spade(std::move(detector)) {}
 
@@ -202,6 +215,13 @@ class ShardWorker {
     /// Edges applied since the last PartitionLoads() scan — the steal
     /// policy's per-partition load signal.
     std::uint64_t recent_load = 0;
+    /// Boundary weights (DESIGN.md §4.4): every vertex incident to a
+    /// cross-home edge of this partition's graph or benign buffer, with
+    /// that edge mass. Apply and retire keep it in step; an entry goes when
+    /// its count reaches 0, so float residue never keeps a vertex.
+    std::unordered_map<VertexId, BoundaryMass> boundary;
+    /// Cross-home edges in the graph and benign buffer.
+    std::uint64_t boundary_edges = 0;
   };
 
   /// Initial partition assignment for the constructor.
@@ -221,14 +241,14 @@ class ShardWorker {
   /// worker thread (-1 = unpinned; Linux-only — elsewhere, and for CPUs
   /// that do not exist, the worker logs a warning and runs unpinned).
   /// `on_retire` (optional) fires around every retire pass that removes at
-  /// least one edge (see RetireNotifyFn); `on_boundary` (optional) fires
-  /// per applied/retired edge inside the apply critical section (see
-  /// BoundaryUpdateFn). `slab_pool` (optional) receives consumed batch
-  /// slabs for recycling.
+  /// least one edge (see RetireNotifyFn); `is_boundary` (optional; null =
+  /// no boundary weights) classifies edges for Partition::boundary (see
+  /// BoundaryFn). `slab_pool` (optional) receives consumed batch slabs for
+  /// recycling.
   ShardWorker(std::vector<PartitionSeed> seeds, std::size_t total_partitions,
               PartitionOfFn partition_of, ForwardFn forward,
               FraudAlertFn on_alert, DetectionServiceOptions options, int cpu,
-              RetireNotifyFn on_retire, BoundaryUpdateFn on_boundary,
+              RetireNotifyFn on_retire, BoundaryFn is_boundary,
               std::shared_ptr<SlabPool> slab_pool);
 
   /// Stops the worker, draining queued edges first.
@@ -355,6 +375,22 @@ class ShardWorker {
   std::uint64_t DetectionsRun() const {
     return detections_.load(std::memory_order_relaxed);
   }
+
+  /// Cross-home edges in the owned partitions (relaxed; never takes a
+  /// lock; a partition in mid-move counts on neither side).
+  std::uint64_t BoundaryEdges() const {
+    return boundary_edges_.load(std::memory_order_relaxed);
+  }
+
+  /// Cross-home applies and retires so far, rebuild passes excluded
+  /// (monotone; relaxed; never takes a lock).
+  std::uint64_t BoundaryUpdates() const {
+    return boundary_updates_.load(std::memory_order_relaxed);
+  }
+
+  /// Adds every owned partition's per-vertex boundary weight into `weight`
+  /// under the detector mutex (O(boundary vertices)).
+  void AddBoundaryWeights(std::unordered_map<VertexId, double>* weight) const;
 
   /// Edges accepted but not yet taken off the ring by the worker (relaxed
   /// atomic; never takes a lock, may trail an in-flight handoff).
@@ -613,6 +649,17 @@ class ShardWorker {
   /// cap.
   void AppendDeltaRecord(Partition& p, const DeltaRecord& record);
 
+  /// Applies one applied (`sign` +1) or retired (-1) edge to the
+  /// partition's boundary weights when is_boundary_ classifies it
+  /// cross-home (detector mutex held). `live` is passed through to the
+  /// classifier and counts the update toward boundary_updates_.
+  void CountBoundaryLocked(Partition& p, const Edge& weighted, int sign,
+                           bool live);
+
+  /// Recomputes the partition's boundary weights with one pass over its
+  /// graph and benign buffer (detector mutex held, or pre-thread).
+  void RebuildBoundaryLocked(Partition& p);
+
   /// Chain-replay counterpart of one retire record (detector mutex held):
   /// re-runs the deletion with the recorded applied weight and removes the
   /// matching entry from the replayed window log.
@@ -717,12 +764,18 @@ class ShardWorker {
   std::atomic<std::uint64_t> detections_{0};
   std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> retire_begins_{0};
+  /// Sum of the owned partitions' boundary_edges (mirror for lock-free
+  /// stats reads).
+  std::atomic<std::uint64_t> boundary_edges_{0};
+  /// Cross-home applies and retires so far (monotone; written under the
+  /// detector mutex).
+  std::atomic<std::uint64_t> boundary_updates_{0};
   /// Nanoseconds the worker spent in apply/retire/backlog work (vs parked
   /// or gathering); BusyFraction divides by wall time since start_.
   std::atomic<std::uint64_t> busy_ns_{0};
   std::chrono::steady_clock::time_point start_;
   RetireNotifyFn on_retire_;
-  BoundaryUpdateFn on_boundary_;
+  BoundaryFn is_boundary_;
   std::shared_ptr<SlabPool> slab_pool_;
 
   std::thread worker_;

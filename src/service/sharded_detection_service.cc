@@ -98,8 +98,7 @@ ShardedDetectionService::ShardedDetectionService(
       map_(shards.size(),
            WorkerCountFor(shards.size(),
                           options_.rebalance.partitions_per_shard)),
-      slab_pool_(std::make_shared<SlabPool>()),
-      boundary_(std::max<std::size_t>(1, shards.size())) {
+      slab_pool_(std::make_shared<SlabPool>()) {
   SPADE_CHECK(!shards.empty());
   const std::size_t pps =
       std::max<std::size_t>(1, options_.rebalance.partitions_per_shard);
@@ -120,42 +119,23 @@ ShardedDetectionService::ShardedDetectionService(
         };
   }
   semantics_ = shards.front().semantics_name();
-  bool has_override = false;
-  for (const auto& o : options_.stitch.pair_trigger_overrides) {
-    has_override |= o.weight > 0.0;
-  }
   const bool trigger_armed =
-      (options_.stitch.trigger_weight > 0.0 || has_override) &&
-      num_partitions > 1;
+      options_.stitch.trigger_weight > 0.0 && num_partitions > 1;
   if (trigger_armed) {
     const std::size_t pairs = num_partitions * num_partitions;
     pair_weight_ = std::make_unique<std::atomic<double>[]>(pairs);
-    pair_threshold_ = std::make_unique<double[]>(pairs);
     for (std::size_t i = 0; i < pairs; ++i) {
       pair_weight_[i].store(0.0, std::memory_order_relaxed);
-      pair_threshold_[i] = options_.stitch.trigger_weight;
-    }
-    // Overrides apply symmetrically (the accumulators are ordered pairs,
-    // the policy is not); later entries win on duplicates.
-    for (const auto& o : options_.stitch.pair_trigger_overrides) {
-      if (o.a >= num_partitions || o.b >= num_partitions || o.a == o.b) {
-        SPADE_LOG_WARNING() << "ignoring pair_trigger_override {" << o.a
-                            << ", " << o.b << "}: not a partition pair";
-        continue;
-      }
-      pair_threshold_[o.a * num_partitions + o.b] = o.weight;
-      pair_threshold_[o.b * num_partitions + o.a] = o.weight;
     }
   }
   // Workers start their threads inside the ShardWorker constructor, so the
-  // boundary hook may fire while this loop is still building later shards.
-  // It must not read workers_.size(); the partition count is captured
-  // instead.
-  BoundaryUpdateFn boundary_hook;
+  // classifier may run while this loop is still building later shards. It
+  // must not read workers_.size(); the partition count is captured instead.
+  // One partition has no cross-home edges, so it keeps no boundary weights.
+  BoundaryFn is_boundary;
   if (num_partitions > 1) {
-    boundary_hook = [this, num_partitions](const Edge& e, double applied,
-                                           bool retired) {
-      OnBoundaryUpdate(num_partitions, e, applied, retired);
+    is_boundary = [this, num_partitions](const Edge& e, bool live) {
+      return OnBoundaryUpdate(num_partitions, e, live);
     };
   }
   // Routing and forwarding closures read `this->map_` and
@@ -198,7 +178,7 @@ ShardedDetectionService::ShardedDetectionService(
     workers_.push_back(std::make_unique<ShardWorker>(
         std::move(seeds), num_partitions, partition_of, std::move(forward),
         std::move(shard_alert), worker_options, cpu, std::move(shard_retire),
-        boundary_hook, slab_pool_));
+        is_boundary, slab_pool_));
   }
   // The interval path runs for a single shard too: a stitch pass there is
   // just "publish the one shard's snapshot with provenance", which is what
@@ -233,55 +213,24 @@ std::size_t ShardedDetectionService::HomeShardOf(VertexId v) const {
   return map_.ShardOf(options_.partitioner.home(v) % map_.num_partitions());
 }
 
-void ShardedDetectionService::MaybeRecordBoundary(const Edge& raw_edge) {
-  // Boundary buckets are keyed by PARTITION home, not worker: the key must
-  // be stable across partition moves or a rebalance would strand records.
-  const std::size_t n = map_.num_partitions();
-  if (n == 1) return;
-  const std::size_t src_home = options_.partitioner.home(raw_edge.src) % n;
-  const std::size_t dst_home = options_.partitioner.home(raw_edge.dst) % n;
-  if (src_home != dst_home) boundary_.Record(src_home, dst_home, raw_edge);
-}
-
-void ShardedDetectionService::SeedBoundaryIndex(
-    std::span<const Edge> raw_edges) {
-  for (const Edge& e : raw_edges) MaybeRecordBoundary(e);
-}
-
-void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
-                                               const Edge& edge,
-                                               double applied, bool retired) {
+bool ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
+                                               const Edge& edge, bool live) {
+  // Homes are PARTITION homes, not workers: a rebalance moves detectors
+  // between workers but never renames a partition, so an edge's
+  // classification is the same before and after any number of moves.
   const std::size_t src_home =
       options_.partitioner.home(edge.src) % num_partitions;
   const std::size_t dst_home =
       options_.partitioner.home(edge.dst) % num_partitions;
-  if (src_home == dst_home) return;
-  if (!retired) {
-    // Record at the APPLIED semantic weight (what the detector actually
-    // credited), not the raw wire weight: the seam peel sums these, so the
-    // index must agree with the detectors. Fired inside the worker's apply
-    // critical section, strictly before the post-apply snapshot publish —
-    // so a SaveState that captures the edge also captures its record.
-    // Partition-home keys make the record placement-independent: a
-    // rebalance moves detectors between workers but never renames a
-    // partition, so the bucket an edge lands in is the same before and
-    // after any number of moves.
-    boundary_.Record(src_home, dst_home,
-                     Edge{edge.src, edge.dst, applied, edge.ts});
-  }
-  if (!pair_weight_) return;
+  if (src_home == dst_home) return false;
+  if (!live || !pair_weight_) return true;
   // Insert AND retire deltas both count toward the trigger: either one
   // moves the seam's true density away from what the last pass measured.
   std::atomic<double>& slot =
       pair_weight_[src_home * num_partitions + dst_home];
-  const double before = AtomicAddDouble(slot, std::abs(applied));
-  // Per-pair override, else the fleet default (<= 0 disarms this pair:
-  // weight still accumulates for the next pass's fold, but never wakes
-  // the stitcher on its own).
-  const double threshold =
-      pair_threshold_[src_home * num_partitions + dst_home];
-  if (threshold <= 0.0) return;
-  if (before < threshold && before + std::abs(applied) >= threshold) {
+  const double before = AtomicAddDouble(slot, edge.weight);
+  const double threshold = options_.stitch.trigger_weight;
+  if (before < threshold && before + edge.weight >= threshold) {
     stitch_triggers_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(stitcher_mutex_);
@@ -289,6 +238,7 @@ void ShardedDetectionService::OnBoundaryUpdate(std::size_t num_partitions,
     }
     stitcher_cv_.notify_all();
   }
+  return true;
 }
 
 void ShardedDetectionService::ObserveTimestamp(Timestamp ts) {
@@ -316,10 +266,6 @@ void ShardedDetectionService::ObserveTimestamp(Timestamp ts) {
       break;
     }
   }
-  Timestamp evict = pending_evict_horizon_.load(std::memory_order_relaxed);
-  while (horizon > evict && !pending_evict_horizon_.compare_exchange_weak(
-                                evict, horizon, std::memory_order_relaxed)) {
-  }
   for (auto& w : workers_) {
     // A full queue in fail-fast mode can reject the marker. Dropping it is
     // safe: a retire pass expires everything older than its horizon, so
@@ -343,21 +289,10 @@ Status ShardedDetectionService::RetireOlderThan(Timestamp horizon) {
     return Status::FailedPrecondition(
         "RetireOlderThan: window expiry is off (WindowOptions::span == 0)");
   }
-  Timestamp evict = pending_evict_horizon_.load(std::memory_order_relaxed);
-  while (horizon > evict && !pending_evict_horizon_.compare_exchange_weak(
-                                evict, horizon, std::memory_order_relaxed)) {
-  }
   Status first_error = Status::OK();
   for (auto& w : workers_) {
     const Status s = w->SubmitRetire(horizon);
     if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  // Boundary eviction runs here (and at stitch-pass start), never on the
-  // submit hot path: the explicit call is the "I want O(window) resident
-  // now" knob, so it does not wait for the next stitch.
-  {
-    std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    boundary_.EvictOlderThan(horizon, stitch_cursor_, &boundary_weight_);
   }
   return first_error;
 }
@@ -394,17 +329,12 @@ Status ShardedDetectionService::Submit(const Edge& raw_edge) {
   if (options_.window.span > 0) ObserveTimestamp(raw_edge.ts);
   const std::size_t n = workers_.size();
   if (n == 1) return workers_[0]->Submit(raw_edge);
-  // The router only routes now. Boundary recording moved to the worker's
-  // apply path (OnBoundaryUpdate): the worker records the edge at its
-  // APPLIED weight inside the detector critical section, which both fixes
-  // the raw-vs-applied weight mismatch for FD semantics and restores the
-  // save invariant for free — an edge inside a SaveState snapshot has its
-  // record written before the snapshot could have been taken.
-  //
-  // Routing is two loads: the stable partition key, then one acquire read
-  // through the lock-free partition map to the current owner. A racing
-  // rebalance can direct this edge at the just-vacated owner; the worker's
-  // apply loop notices the foreign pid and forwards it (never drops it).
+  // The router only routes; boundary weights update on the worker's apply
+  // path, at the APPLIED weight. Routing is two loads: the stable partition
+  // key, then one acquire read through the lock-free partition map to the
+  // current owner. A racing rebalance can direct this edge at the
+  // just-vacated owner; the worker's apply loop notices the foreign pid and
+  // forwards it (never drops it).
   return workers_[map_.ShardOf(PartitionOf(raw_edge))]->Submit(raw_edge);
 }
 
@@ -425,8 +355,8 @@ Status ShardedDetectionService::SubmitBatch(std::span<const Edge> raw_edges,
   RouterScratch& scratch = TlsRouterScratch();
   scratch.Partition(options_.partitioner, map_, workers_.size(), raw_edges,
                     slab_pool_.get());
-  // Boundary recording happens on the worker apply path (see Submit); the
-  // batched router's only job is splitting the chunk into per-shard slabs.
+  // The batched router's only job is splitting the chunk into per-shard
+  // slabs (boundary weights update on the worker apply path).
   Status first_error = Status::OK();
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     if (scratch.Part(s).empty()) continue;
@@ -803,17 +733,6 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
       return false;
     };
 
-    // Evict the boundary index's expired prefix before folding: the seam
-    // aggregate must describe the live window, and doing it here (never on
-    // the submit path) is what keeps the index O(window) — each stitch
-    // pass catches up to the highest horizon any retire pass was asked
-    // to expire.
-    const Timestamp evict_to =
-        pending_evict_horizon_.load(std::memory_order_relaxed);
-    if (evict_to > 0 && map_.num_partitions() > 1) {
-      boundary_.EvictOlderThan(evict_to, stitch_cursor_, &boundary_weight_);
-    }
-
     // One snapshot load per shard, reused for both the seam candidates and
     // the argmax fallback so the pass compares against a consistent view.
     std::vector<std::shared_ptr<const Community>> snaps(workers_.size());
@@ -836,29 +755,22 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
       seam_set.insert(snap->members.begin(), snap->members.end());
     }
     if (map_.num_partitions() > 1) {
-      boundary_.FoldNewEdges(&stitch_cursor_, &boundary_weight_);
-      // Freshness bookmark: everything recorded up to here is now inside
-      // the seam aggregate; the live counter minus this snapshot is how
-      // many edges behind a stitched read can be (GetStats, lock-free).
-      folded_recorded_.store(boundary_.RecordedEdges(),
-                             std::memory_order_relaxed);
-      // Folded buckets are consumed messages: collapse them to per-pair
-      // per-vertex weight sums so the resident index is O(boundary
-      // vertices), not O(cross-shard edges). SaveTail anchoring caps how
-      // far this can reach (persist floor) — never past unsynced edges.
-      if (options_.stitch.compact_boundary) {
-        boundary_.CompactConsumed(stitch_cursor_);
-      }
+      // Freshness bookmark, taken before the read: every update it counts
+      // is inside the weights read next, so the live count minus this
+      // bounds how many edges behind a stitched read can be (GetStats).
+      stitched_updates_.store(BoundaryUpdates(), std::memory_order_relaxed);
+      const std::unordered_map<VertexId, double> boundary_weight =
+          BoundaryWeights();
       const std::size_t budget =
           unbounded_seam
               ? std::numeric_limits<std::size_t>::max()
               : std::max(options_.stitch.max_seam_vertices, seam_set.size());
-      if (seam_set.size() + boundary_weight_.size() <= budget) {
-        for (const auto& [v, w] : boundary_weight_) seam_set.insert(v);
+      if (seam_set.size() + boundary_weight.size() <= budget) {
+        for (const auto& [v, w] : boundary_weight) seam_set.insert(v);
       } else {
         std::vector<std::pair<double, VertexId>> heaviest;
-        heaviest.reserve(boundary_weight_.size());
-        for (const auto& [v, w] : boundary_weight_) {
+        heaviest.reserve(boundary_weight.size());
+        for (const auto& [v, w] : boundary_weight) {
           if (seam_set.count(v) == 0) heaviest.push_back({w, v});
         }
         const std::size_t take =
@@ -1000,6 +912,22 @@ GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
   return result;
 }
 
+std::unordered_map<VertexId, double> ShardedDetectionService::BoundaryWeights()
+    const {
+  std::unordered_map<VertexId, double> weight;
+  // Placement freeze, as for the seam gather: a partition moving between
+  // two workers' reads would be summed twice or not at all.
+  std::lock_guard<std::mutex> rebalance_lock(rebalance_mutex_);
+  for (const auto& w : workers_) w->AddBoundaryWeights(&weight);
+  return weight;
+}
+
+std::uint64_t ShardedDetectionService::BoundaryUpdates() const {
+  std::uint64_t updates = 0;
+  for (const auto& w : workers_) updates += w->BoundaryUpdates();
+  return updates;
+}
+
 void ShardedDetectionService::StitcherLoop() {
   std::unique_lock<std::mutex> lock(stitcher_mutex_);
   while (!stitcher_stop_) {
@@ -1067,19 +995,18 @@ ShardedServiceStats ShardedDetectionService::GetStats() const {
   stats.steals = steals_.load(std::memory_order_relaxed);
   stats.partitions_moved = partitions_moved_.load(std::memory_order_relaxed);
   stats.forwarded_edges = forwarded_edges_.load(std::memory_order_relaxed);
-  stats.boundary_edges = boundary_.TotalEdges();
+  for (const auto& w : workers_) stats.boundary_edges += w->BoundaryEdges();
   stats.stitch_passes = stitch_passes_.load(std::memory_order_relaxed);
   stats.stitched_alerts = stitched_alerts_.load(std::memory_order_relaxed);
   stats.seam_truncated = seam_truncated_.load(std::memory_order_relaxed);
   stats.stitch_triggers = stitch_triggers_.load(std::memory_order_relaxed);
-  // Freshness in edges: records the stitcher has not folded yet. Both
-  // counters are monotone under live traffic, but a restore resets the
-  // recorded counter, so clamp rather than trusting the subtraction.
-  const std::uint64_t recorded = boundary_.RecordedEdges();
-  const std::uint64_t folded = folded_recorded_.load(std::memory_order_relaxed);
-  stats.boundary_unconsumed_edges = recorded > folded ? recorded - folded : 0;
-  stats.boundary_compacted_edges = boundary_.CompactedEdges();
-  stats.boundary_resident_bytes = boundary_.ResidentBytes();
+  // Freshness in edges: cross-home updates the last stitch pass did not
+  // read. Both sums are monotone, but read at different instants, so clamp.
+  const std::uint64_t updates = BoundaryUpdates();
+  const std::uint64_t stitched =
+      stitched_updates_.load(std::memory_order_relaxed);
+  stats.boundary_unconsumed_edges =
+      updates > stitched ? updates - stitched : 0;
   return stats;
 }
 
@@ -1121,39 +1048,29 @@ bool ParseEpochSuffix(std::string_view s, std::uint64_t* epoch) {
 }
 
 /// Strict parser for epoch-stamped checkpoint artifact names: matches
-/// exactly `shard-<digits>.snapshot-<digits>`, `shard-<digits>.delta-
-/// <digits>`, `boundary.tail-<digits>` and `boundary.index-<digits>`,
-/// yielding the epoch. Foreign files — client spill buffers, ingest
-/// seqmaps, editor droppings — never match, so sharing the directory with
-/// non-checkpoint files neither perturbs epoch numbering nor gets them
-/// garbage-collected. The single classifier serves both the GC and the
-/// epoch scanner: if they ever disagreed, NextEpochForDir could hand out
-/// an epoch whose crashed files survived GC — the stale-bytes collision
-/// the stamping exists to prevent.
+/// exactly `shard-<digits>.snapshot-<digits>` and
+/// `shard-<digits>.delta-<digits>`, yielding the epoch. Foreign files —
+/// client spill buffers, ingest seqmaps, editor droppings — never match,
+/// so sharing the directory with non-checkpoint files neither perturbs
+/// epoch numbering nor gets them garbage-collected. The single classifier
+/// serves both the GC and the epoch scanner: if they ever disagreed,
+/// NextEpochForDir could hand out an epoch whose crashed files survived
+/// GC — the stale-bytes collision the stamping exists to prevent.
 bool ParseEpochStampedArtifact(const std::string& name,
                                std::uint64_t* epoch) {
   std::string_view v(name);
-  constexpr std::string_view kTail = "boundary.tail-";
-  constexpr std::string_view kIndex = "boundary.index-";
   constexpr std::string_view kShard = "shard-";
-  if (v.substr(0, kTail.size()) == kTail) {
-    return ParseEpochSuffix(v.substr(kTail.size()), epoch);
+  if (v.substr(0, kShard.size()) != kShard) return false;
+  v.remove_prefix(kShard.size());
+  const std::size_t dot = v.find('.');
+  if (dot == std::string_view::npos || !AllDigits(v.substr(0, dot))) {
+    return false;
   }
-  if (v.substr(0, kIndex.size()) == kIndex) {
-    return ParseEpochSuffix(v.substr(kIndex.size()), epoch);
-  }
-  if (v.substr(0, kShard.size()) == kShard) {
-    v.remove_prefix(kShard.size());
-    const std::size_t dot = v.find('.');
-    if (dot == std::string_view::npos || !AllDigits(v.substr(0, dot))) {
-      return false;
-    }
-    v.remove_prefix(dot + 1);
-    for (const std::string_view kind : {std::string_view("snapshot-"),
-                                        std::string_view("delta-")}) {
-      if (v.substr(0, kind.size()) == kind) {
-        return ParseEpochSuffix(v.substr(kind.size()), epoch);
-      }
+  v.remove_prefix(dot + 1);
+  for (const std::string_view kind : {std::string_view("snapshot-"),
+                                      std::string_view("delta-")}) {
+    if (v.substr(0, kind.size()) == kind) {
+      return ParseEpochSuffix(v.substr(kind.size()), epoch);
     }
   }
   return false;
@@ -1242,12 +1159,6 @@ Status ShardedDetectionService::SaveFull(const std::string& dir,
                                     static_cast<std::uint32_t>(shard)});
     }
   }
-  manifest.boundary_file = BoundaryIndexFileName(epoch);
-  const std::string boundary_path = JoinPath(dir, manifest.boundary_file);
-  // Save() anchors the persist cursor at exactly the prefix the file
-  // holds, so the first tail continues seamlessly.
-  SPADE_RETURN_NOT_OK(boundary_.Save(boundary_path, &boundary_persist_cursor_));
-  bytes += FileSizeOrZero(boundary_path);
   // Manifest last and atomically: a crash anywhere above leaves either no
   // manifest (kNotFound) or the previous epoch's manifest (clean restore
   // to the previous checkpoint) — never a torn directory in charge.
@@ -1301,13 +1212,6 @@ Status ShardedDetectionService::SaveDeltaEpoch(const std::string& dir,
                                     static_cast<std::uint32_t>(shard)});
     }
   }
-  const std::string tail_name = BoundaryTailFileName(epoch);
-  std::uint64_t tail_bytes = 0;
-  SPADE_RETURN_NOT_OK(boundary_.SaveTail(JoinPath(dir, tail_name), epoch,
-                                         &boundary_persist_cursor_,
-                                         &tail_bytes));
-  bytes += tail_bytes;
-  manifest.boundary_tails.push_back({epoch, tail_name});
   manifest.epoch = epoch;
   SPADE_RETURN_NOT_OK(WriteShardManifest(dir, manifest));
   bytes += FileSizeOrZero(ShardManifestPath(dir));
@@ -1328,11 +1232,7 @@ void ShardedDetectionService::RemoveStaleChainFiles(
     const std::string& dir) const {
   std::unordered_set<std::string> referenced(chain_.files.begin(),
                                              chain_.files.end());
-  referenced.insert(chain_.boundary_file);
   for (const DeltaSegmentRef& ref : chain_.deltas) referenced.insert(ref.file);
-  for (const BoundaryTailRef& ref : chain_.boundary_tails) {
-    referenced.insert(ref.file);
-  }
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
@@ -1384,9 +1284,9 @@ Status ShardedDetectionService::SaveState(const std::string& dir,
     // after that would silently lose their records. Invalidate it — the
     // only safe continuation is a fresh base.
     chain_dir_.clear();
-    // A worker whose delta log overflowed (or whose boundary cursor was
-    // invalidated) reports kFailedPrecondition; in auto mode the right
-    // response is the fallback the caller would have to do anyway.
+    // A worker whose delta log overflowed reports kFailedPrecondition; in
+    // auto mode the right response is the fallback the caller would have
+    // to do anyway.
     if (mode == SaveMode::kDelta ||
         s.code() != StatusCode::kFailedPrecondition) {
       return s;
@@ -1451,15 +1351,10 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
                                      &plans[pid].state_present,
                                      &plans[pid].window));
   }
-  BoundaryEdgeIndex::FileData boundary_base;
-  SPADE_RETURN_NOT_OK(
-      BoundaryEdgeIndex::ReadFile(JoinPath(dir, manifest.boundary_file),
-                                  num_partitions, &boundary_base));
   // Chain epochs, oldest first: stop at the first epoch with any torn or
   // corrupt file. Everything before it is durable by construction (those
   // files were fully written before the later manifest was published), so
   // the longest valid prefix IS the last durable checkpoint.
-  std::vector<BoundaryEdgeIndex::FileData> tails;
   std::uint64_t restored_epoch = manifest.base_epoch;
   std::size_t delta_edges = 0;
   for (std::uint64_t e = manifest.base_epoch + 1; e <= manifest.epoch; ++e) {
@@ -1475,14 +1370,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
                  segment.prev_epoch == e - 1;
       if (epoch_ok) epoch_segments[pid] = std::move(segment);
     }
-    BoundaryEdgeIndex::FileData tail;
-    if (epoch_ok) {
-      const BoundaryTailRef& ref =
-          manifest.boundary_tails[e - manifest.base_epoch - 1];
-      epoch_ok = BoundaryEdgeIndex::ReadTailFile(JoinPath(dir, ref.file),
-                                                 num_partitions, e, &tail)
-                     .ok();
-    }
     if (!epoch_ok) {
       SPADE_LOG_WARNING() << "RestoreState: chain torn at epoch " << e
                           << "; recovering to durable epoch " << (e - 1);
@@ -1492,7 +1379,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       delta_edges += epoch_segments[pid].NumEdges();
       plans[pid].segments.push_back(std::move(epoch_segments[pid]));
     }
-    tails.push_back(std::move(tail));
     restored_epoch = e;
   }
 
@@ -1500,8 +1386,8 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
   // Drop the stitched snapshot BEFORE touching any detector: it described
   // the pre-restore fleet, and it must not survive the swap (a stale
   // stitched read over replaced detectors would be the one overclaim the
-  // insert-only staleness argument cannot excuse). The stitch/boundary
-  // counters reset with it — stats() must describe the restored run.
+  // insert-only staleness argument cannot excuse). The stitch counters
+  // reset with it — stats() must describe the restored run.
   {
     std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
     last_stitched_members_.clear();
@@ -1565,17 +1451,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     }
     for (const Status& s : statuses) SPADE_RETURN_NOT_OK(s);
   }
-  {
-    std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    // The epoch bump inside AdoptBuckets forces the next stitch pass to
-    // rebuild its per-vertex aggregate; tails append under the same cursor
-    // so the next SaveTail persists only post-restore records.
-    boundary_.AdoptBuckets(std::move(boundary_base),
-                           &boundary_persist_cursor_);
-    for (BoundaryEdgeIndex::FileData& tail : tails) {
-      boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
-    }
-  }
 
   // Resume the chain in this directory: the next save extends it.
   chain_dir_ = dir;
@@ -1586,7 +1461,6 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
     chain_.epoch = restored_epoch;
     chain_.deltas.resize((restored_epoch - chain_.base_epoch) *
                          num_partitions);
-    chain_.boundary_tails.resize(restored_epoch - chain_.base_epoch);
   }
   chain_base_bytes_ = 0;
   for (const std::string& f : chain_.files) {
@@ -1657,10 +1531,6 @@ Status ShardedDetectionService::ApplyChainEpoch(
     }
     segments[pid] = std::move(segment);
   }
-  BoundaryEdgeIndex::FileData tail;
-  SPADE_RETURN_NOT_OK(BoundaryEdgeIndex::ReadTailFile(
-      JoinPath(dir, manifest.boundary_tails[epoch_row].file), num_partitions,
-      target_epoch, &tail));
 
   // ---- Phase 2: replay. Everything below passed validation. -------------
   std::uint64_t replayed = 0;
@@ -1674,10 +1544,6 @@ Status ShardedDetectionService::ApplyChainEpoch(
           workers_[map_.ShardOf(pid)]->ReplayPartitionSegment(
               pid, segments[pid], drain_timeout));
     }
-  }
-  {
-    std::lock_guard<std::mutex> stitch_lock(stitch_mutex_);
-    boundary_.AppendBuckets(tail, &boundary_persist_cursor_);
   }
   // The cached save chain no longer matches the workers' (now replayed-
   // ahead) delta logs; drop it so the next SaveState writes a fresh full

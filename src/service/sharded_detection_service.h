@@ -10,32 +10,29 @@
 // vertex to its home-shard key. For the built-in partitioners (hash-of-src,
 // tenant) routing IS home-of-source, so an edge whose endpoints share a
 // home is fully visible to its shard. When the endpoints' homes differ the
-// applying WORKER additionally pushes the edge (at its applied semantic
-// weight) into the BoundaryEdgeIndex's per-shard-pair queues from inside
-// its apply critical section — the edge still lands in exactly one shard's
-// detector, but the stitcher now knows the seam exists, and an edge
-// captured by a state snapshot always has its boundary record on disk
-// first. A bare PartitionFn still converts implicitly; its `home` defaults
-// to the key of a synthetic self-edge, which is exact for any partitioner
-// that only reads `src`.
+// edge still lands in exactly one shard's detector, and the partition that
+// applies it adds its applied weight to both endpoints' boundary weights
+// (ShardWorker::Partition::boundary) inside the same critical section — so
+// the stitcher knows the seam exists. A bare PartitionFn still converts
+// implicitly; its `home` defaults to the key of a synthetic self-edge,
+// which is exact for any partitioner that only reads `src`.
 //
 // Cross-shard reads: CurrentCommunity() is the densest community over all
 // shard snapshots (per-shard argmax). The stitch pass (StitchNow,
 // or a background stitcher when StitchOptions::interval_ms > 0 runs it on
 // a timer and/or StitchOptions::trigger_weight > 0 wakes it the moment a
-// shard pair's accumulated unstitched weight crosses the threshold) closes
-// the argmax's blind spot: it consumes the boundary queues into a
-// per-vertex seam aggregate, builds a seam graph over the boundary-
-// adjacent vertices plus every shard's snapshot members, gathers that
-// vertex set's induced edges from the shard detectors (each edge lives in
-// exactly one shard, so the union is the exact global induced subgraph),
-// peels it with the static peeler, and publishes the result as an
-// atomically-swapped GlobalCommunity snapshot — same non-blocking read
-// protocol as the shard snapshots. CurrentGlobalCommunity() returns the
-// denser of the stitched snapshot and the live argmax. Consumed queue
-// history is compacted to per-vertex weight blocks (resident boundary
-// memory O(boundary vertices)). DESIGN.md §4.4 has the exactness,
-// freshness and staleness statements.
+// partition pair's accumulated unstitched weight crosses the threshold)
+// closes the argmax's blind spot: it sums the partitions' boundary weights,
+// builds a seam graph over the heaviest boundary vertices plus every
+// shard's snapshot members, gathers that vertex set's induced edges from
+// the shard detectors (each edge lives in exactly one shard, so the union
+// is the exact global induced subgraph), peels it with the static peeler,
+// and publishes the result as an atomically-swapped GlobalCommunity
+// snapshot — same non-blocking read protocol as the shard snapshots.
+// CurrentGlobalCommunity() returns the denser of the stitched snapshot and
+// the live argmax. Boundary weights are derived from the shard graphs, so
+// they need no file and expire with the window. DESIGN.md §4.4 has the
+// exactness, freshness and staleness statements.
 
 #pragma once
 
@@ -56,7 +53,6 @@
 #include "common/status.h"
 #include "core/spade.h"
 #include "graph/types.h"
-#include "service/boundary_index.h"
 #include "service/partition_map.h"
 #include "service/shard_worker.h"
 #include "storage/sharded_snapshot.h"
@@ -106,9 +102,9 @@ Partitioner HashOfSourcePartitioner();
 /// Tenant routing for id spaces laid out as [tenant * vertices_per_tenant,
 /// (tenant+1) * vertices_per_tenant): home(v) = v / vertices_per_tenant and
 /// an edge routes to its source's tenant. A cross-tenant edge is applied in
-/// the source tenant's shard AND recorded in the boundary index, so a
-/// community spanning tenants is reachable by the stitch pass instead of
-/// silently invisible.
+/// the source tenant's shard AND counted in its endpoints' boundary
+/// weights, so a community spanning tenants is reachable by the stitch pass
+/// instead of silently invisible.
 Partitioner TenantPartitioner(VertexId vertices_per_tenant);
 
 /// Result of a stitch pass (and the stitched read): a community whose
@@ -141,13 +137,13 @@ using StitchAlertFn = std::function<void(const GlobalCommunity&)>;
 /// Stitch-pass configuration.
 struct StitchOptions {
   /// Cap on the seam-graph vertex count. Shard snapshot members are always
-  /// included; boundary-adjacent vertices fill the remainder in decreasing
-  /// order of accumulated cross-shard edge weight.
+  /// included; boundary vertices fill the remainder in decreasing order of
+  /// live cross-home edge weight.
   std::size_t max_seam_vertices = 4096;
   /// When > 0, a background thread runs a stitch pass at this period.
   std::uint32_t interval_ms = 0;
   /// Event-driven stitching: when > 0, every applied (or retired)
-  /// cross-shard edge adds its absolute applied weight to a per-shard-pair
+  /// cross-home edge adds its applied weight to a per-partition-pair
   /// accumulator, and the pair crossing this threshold wakes the
   /// background stitcher immediately — freshness becomes "bounded edges
   /// behind the threshold crossing" instead of "interval_ms behind".
@@ -155,25 +151,6 @@ struct StitchOptions {
   /// or combined (triggers cut the wait short). Accumulators reset at
   /// every pass. 0 = timer-only stitching.
   double trigger_weight = 0.0;
-  /// Collapse fold-consumed boundary-index history into per-vertex weight
-  /// blocks at each stitch pass (BoundaryEdgeIndex::CompactConsumed),
-  /// keeping resident boundary memory O(boundary vertices). On by
-  /// default; the bench A/Bs it off to measure the saving.
-  bool compact_boundary = true;
-  /// Per-pair trigger threshold override: the unordered partition pair
-  /// {a, b} wakes the stitcher at `weight` instead of the fleet-wide
-  /// trigger_weight. A hot pair (e.g. one the rebalancer keeps moving)
-  /// can stitch more eagerly than the fleet default without lowering the
-  /// threshold everywhere. `weight` <= 0 disables triggering for the pair.
-  struct PairTriggerOverride {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    double weight = 0.0;
-  };
-  /// Overrides applied on top of trigger_weight (later entries win on
-  /// duplicate pairs). Any override > 0 arms the event-driven stitcher
-  /// even when trigger_weight == 0.
-  std::vector<PairTriggerOverride> pair_trigger_overrides;
   /// Stitched-detection alerts (see StitchAlertFn).
   StitchAlertFn on_stitch_alert;
 };
@@ -219,12 +196,11 @@ struct RebalanceOptions {
 /// whenever the watermark advances a stride past the last expiry horizon
 /// the service enqueues a retire marker on every shard: edges older than
 /// `watermark - span` are deleted from the detectors with their recorded
-/// applied weights, through the same ring and drain protocol as inserts.
-/// Boundary-index eviction to the same horizon happens at the start of
-/// each stitch pass (and in explicit RetireOlderThan calls), so resident
-/// state is O(window), not O(history), as long as stitching or explicit
-/// retires run periodically. `span == 0` (default) disables everything:
-/// the service is insert-only and pays nothing.
+/// applied weights, through the same ring and drain protocol as inserts;
+/// each retired cross-home edge leaves its endpoints' boundary weights in
+/// the same step, so resident state is O(window), not O(history).
+/// `span == 0` (default) disables everything: the service is insert-only
+/// and pays nothing.
 struct WindowOptions {
   /// Window span in event-time units (same clock as Edge::ts); 0 = off.
   Timestamp span = 0;
@@ -277,6 +253,7 @@ struct ShardedDetectionServiceOptions {
 struct ShardedServiceStats {
   std::uint64_t edges_processed = 0;
   std::uint64_t alerts_delivered = 0;
+  /// Live cross-home edges (applied and not retired).
   std::uint64_t boundary_edges = 0;
   std::uint64_t stitch_passes = 0;
   std::uint64_t stitched_alerts = 0;
@@ -287,15 +264,10 @@ struct ShardedServiceStats {
   std::uint64_t seam_truncated = 0;
   /// Event-driven stitcher wakeups (trigger_weight crossings observed).
   std::uint64_t stitch_triggers = 0;
-  /// Stitched-read freshness in edges: boundary edges recorded since the
-  /// last stitch fold consumed the queues (0 = seam aggregate fully
-  /// caught up).
+  /// Stitched-read freshness in edges: cross-home applies and retires
+  /// since the last stitch pass read the boundary weights (0 = the seam
+  /// candidates are fully caught up).
   std::uint64_t boundary_unconsumed_edges = 0;
-  /// Boundary-index edges currently residing in compacted per-vertex
-  /// blocks rather than raw form.
-  std::uint64_t boundary_compacted_edges = 0;
-  /// Approximate resident payload bytes of the boundary index.
-  std::size_t boundary_resident_bytes = 0;
   /// Edges removed by window expiry across all shards (0 when window off).
   std::uint64_t retired_edges = 0;
   /// Detector partitions in the fleet (== num_shards unless
@@ -358,19 +330,17 @@ class ShardedDetectionService {
 
   /// Routes the edge to its shard and enqueues it; callable from any
   /// thread. Per-shard FIFO order is preserved per producer thread. An
-  /// edge whose endpoint homes differ is recorded in the boundary index by
-  /// the OWNING WORKER as it applies the edge (at the applied semantic
-  /// weight, inside the detector critical section, strictly before the
-  /// post-apply snapshot publish) — so a SaveState snapshot can never
-  /// contain an unrecorded seam edge, and a rejected edge is never
-  /// recorded at all.
+  /// edge whose endpoint homes differ enters its endpoints' boundary
+  /// weights when the owning partition applies it (at the applied semantic
+  /// weight, inside the detector critical section), so a rejected edge is
+  /// never counted.
   Status Submit(const Edge& raw_edge);
 
   /// Bulk submit, the multi-producer throughput path: a thread-local
   /// RouterScratch partitions the chunk with one routing pass (flat
   /// reusable arenas, no per-call vector-of-vectors) and each shard
   /// receives its contiguous part through the lock-free chunk handoff.
-  /// Boundary recording happens worker-side, exactly as in Submit. Order
+  /// Boundary weights update worker-side, exactly as in Submit. Order
   /// within the chunk is preserved per shard. Best-effort across shards:
   /// every shard's part is attempted and the first failure is returned.
   /// With `enqueued` non-null, `*enqueued` is the exact number of edges
@@ -383,14 +353,8 @@ class ShardedDetectionService {
   /// The shard `raw_edge` would be routed to.
   std::size_t ShardOf(const Edge& raw_edge) const;
 
-  /// The home shard of a vertex (drives boundary-edge detection).
+  /// The shard currently owning a vertex's home partition.
   std::size_t HomeShardOf(VertexId v) const;
-
-  /// Registers pre-existing cross-home edges (e.g. the initial graphs the
-  /// shard detectors were built with, which never passed through Submit) in
-  /// the boundary index so the stitch pass can discover their seams.
-  /// Same-home edges are ignored.
-  void SeedBoundaryIndex(std::span<const Edge> raw_edges);
 
   /// Blocks until every shard has applied and republished everything
   /// submitted before this call. Edges submitted concurrently need not be
@@ -425,10 +389,17 @@ class ShardedDetectionService {
   /// stitched reads fall back to the live argmax until the next pass.
   GlobalCommunity CurrentGlobalCommunity() const;
 
-  /// Runs a stitch pass now: drain, fold the boundary index, gather the
+  /// Runs a stitch pass now: drain, sum the boundary weights, gather the
   /// seam graph from the shard detectors, peel it, publish and return the
   /// winner. Concurrent calls serialize. See class comment.
   GlobalCommunity StitchNow();
+
+  /// What the stitch pass ranks seam candidates by: per vertex, the
+  /// summed applied weight of its live cross-home edges, over every
+  /// partition (each worker read under its detector mutex, placement
+  /// frozen). Edges still queued are not included; Drain first for an
+  /// exact read.
+  std::unordered_map<VertexId, double> BoundaryWeights() const;
 
   /// Shard id whose snapshot wins the density argmax. Advisory under
   /// concurrent updates: the shard may republish between this call and a
@@ -462,14 +433,10 @@ class ShardedDetectionService {
   /// serialize. A no-op (OK) when `pid` already lives on `to_shard`.
   Status RebalanceNow(std::size_t pid, std::size_t to_shard);
 
-  /// The workers' cross-shard edge record (tests and diagnostics).
-  const BoundaryEdgeIndex& boundary_index() const { return boundary_; }
-
   /// Explicit window expiry: enqueues a retire marker on every shard
   /// (edges with ts < `horizon` are deleted with their recorded applied
   /// weights — same ring and drain protocol as inserts, so Drain() after
-  /// this call implies the expiry has fully applied) and evicts the
-  /// boundary index's expired prefix immediately. Requires
+  /// this call implies the expiry has fully applied). Requires
   /// WindowOptions::span > 0. The first shard enqueue error is returned;
   /// shards that accepted the marker still retire.
   Status RetireOlderThan(Timestamp horizon);
@@ -539,9 +506,9 @@ class ShardedDetectionService {
   /// Checkpoints all shards into `dir` (created if needed). The first save
   /// into a directory writes full base snapshots; subsequent saves into
   /// the same directory append one delta epoch — per-shard segments
-  /// holding only the edges applied since the previous checkpoint, an
-  /// incremental boundary-index tail, and a rewritten (tiny) manifest —
-  /// so checkpoint cost tracks traffic, not graph size. The
+  /// holding only the edges applied since the previous checkpoint, and a
+  /// rewritten (tiny) manifest — so checkpoint cost tracks traffic, not
+  /// graph size. The
   /// CheckpointPolicy folds the chain back into a fresh base when it grows
   /// past its bounds. Drains each shard first. Crash-safe at every point:
   /// the manifest is written last and atomically, and every bulk file
@@ -561,10 +528,11 @@ class ShardedDetectionService {
   /// chain. Delta chains replay in parallel, one thread per shard by
   /// default (each chain replays only into its own detector, so the result
   /// is bit-identical to a serial restore; `restore_threads` caps or
-  /// serializes the pool). Detectors keep their installed semantics. The
-  /// boundary index is restored too, and the stitched snapshot *and* the
-  /// stitch/boundary counters are reset — stats() afterwards describes the
-  /// restored run, not the one that wrote the snapshot.
+  /// serializes the pool). Detectors keep their installed semantics.
+  /// Boundary weights are rebuilt from the restored graphs, and the
+  /// stitched snapshot *and* the stitch counters are reset — stats()
+  /// afterwards describes the restored run, not the one that wrote the
+  /// snapshot.
   Status RestoreState(const std::string& dir, RestoreInfo* info = nullptr);
 
   /// Warm-standby increment: applies exactly checkpoint epoch
@@ -572,9 +540,9 @@ class ShardedDetectionService {
   /// the follower that already restored (or replayed up to) epoch E calls
   /// this with E+1 as each replicated epoch commits, instead of re-running
   /// a full RestoreState over the whole chain. Two-phase like
-  /// RestoreState: every segment and the boundary tail are parsed,
-  /// CRC-checked and chain-validated (shard index, prev_epoch contiguity
-  /// against `target_epoch - 1`) before any detector is touched, so a
+  /// RestoreState: every segment is parsed, CRC-checked and
+  /// chain-validated (shard index, prev_epoch contiguity against
+  /// `target_epoch - 1`) before any detector is touched, so a
   /// corrupt replicated epoch fails cleanly with the fleet intact.
   /// Replays through ShardWorker::ReplayPartitionSegment (bit-identity
   /// preserved).
@@ -592,7 +560,6 @@ class ShardedDetectionService {
   std::pair<std::size_t, std::shared_ptr<const Community>> ArgmaxSnapshot()
       const;
 
-  void MaybeRecordBoundary(const Edge& raw_edge);
   std::shared_ptr<const GlobalCommunity> LoadStitched() const;
   void StoreStitched(std::shared_ptr<const GlobalCommunity> snap);
   void StitcherLoop();
@@ -601,15 +568,18 @@ class ShardedDetectionService {
   /// stitcher's escalation retry with an unbounded seam).
   GlobalCommunity StitchPass(bool unbounded_seam);
 
-  /// Worker-side boundary hook body (BoundaryUpdateFn): records applied
-  /// cross-home edges into the index at their applied weight and feeds the
-  /// trigger accumulators. Keyed by partition home (pid), NOT by current
-  /// owner shard, so boundary records survive partition moves.
-  /// `num_partitions` is captured, not read from members — workers start
-  /// (and may call this) while the constructor is still building later
-  /// shards.
-  void OnBoundaryUpdate(std::size_t num_partitions, const Edge& edge,
-                        double applied, bool retired);
+  /// Worker-side classifier body (BoundaryFn): true iff the edge's
+  /// endpoints have different home PARTITIONS (stable across moves, unlike
+  /// owner shards); a live cross-home update also feeds the trigger
+  /// accumulators. `num_partitions` is captured, not read from members —
+  /// workers start (and may call this) while the constructor is still
+  /// building later shards.
+  bool OnBoundaryUpdate(std::size_t num_partitions, const Edge& edge,
+                        bool live);
+
+  /// Cross-home applies and retires so far, summed over the workers
+  /// (monotone; lock-free).
+  std::uint64_t BoundaryUpdates() const;
 
   /// The stable partition id of an edge (edge_key or source home, modulo
   /// num_partitions).
@@ -649,14 +619,14 @@ class ShardedDetectionService {
   /// density can overstate under expiry — see CurrentCommunity).
   void OnShardRetire(std::size_t shard);
 
-  /// Full checkpoint: base snapshots + boundary index + chainless
-  /// manifest at `epoch`. Caller holds save_mutex_.
+  /// Full checkpoint: base snapshots + chainless manifest at `epoch`.
+  /// Caller holds save_mutex_.
   Status SaveFull(const std::string& dir, std::uint64_t epoch,
                   SaveInfo* info);
   /// Incremental checkpoint appending epoch `chain_.epoch + 1`. Caller
   /// holds save_mutex_.
   Status SaveDeltaEpoch(const std::string& dir, SaveInfo* info);
-  /// Deletes delta/tail files in `dir` that the just-written manifest no
+  /// Deletes base/delta files in `dir` that the just-written manifest no
   /// longer references (best effort; orphans are harmless but untidy).
   void RemoveStaleChainFiles(const std::string& dir) const;
 
@@ -669,7 +639,6 @@ class ShardedDetectionService {
   /// Recycles consumed batch slabs back to the batched router.
   std::shared_ptr<SlabPool> slab_pool_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
-  BoundaryEdgeIndex boundary_;
 
   // --- rebalance state ---------------------------------------------------
   /// Serializes partition moves (and excludes them from checkpoints and
@@ -697,9 +666,6 @@ class ShardedDetectionService {
   /// Byte accounting driving CheckpointPolicy::max_delta_base_ratio.
   std::uint64_t chain_base_bytes_ = 0;
   std::uint64_t chain_delta_bytes_ = 0;
-  /// Position in the boundary index already covered by the chain's base +
-  /// tails; SaveTail persists only edges recorded past it.
-  BoundaryEdgeIndex::Cursor boundary_persist_cursor_;
 
   // --- window expiry state (lock-free; submit hot path touches only the
   // watermark CAS-max when the window is on) ------------------------------
@@ -708,15 +674,9 @@ class ShardedDetectionService {
   /// Horizon of the last automatically triggered retire pass; the next
   /// trigger fires when watermark - span >= last_horizon_ + stride.
   std::atomic<Timestamp> last_horizon_{0};
-  /// Highest horizon any retire pass (automatic or explicit) has been
-  /// asked to expire; the next stitch pass evicts the boundary index to it
-  /// (boundary eviction never runs on the submit hot path).
-  std::atomic<Timestamp> pending_evict_horizon_{0};
 
   // --- stitch state (all guarded by stitch_mutex_; passes serialize) -----
   mutable std::mutex stitch_mutex_;
-  BoundaryEdgeIndex::Cursor stitch_cursor_;
-  std::unordered_map<VertexId, double> boundary_weight_;
   std::vector<VertexId> last_stitched_members_;  // sorted
   double last_stitched_density_ = -1.0;
 
@@ -732,21 +692,15 @@ class ShardedDetectionService {
   std::atomic<std::uint64_t> stitched_alerts_{0};
   std::atomic<std::uint64_t> seam_truncated_{0};
   std::atomic<std::uint64_t> stitch_triggers_{0};
-  /// RecordedEdges() snapshot taken right after each stitch fold; the
-  /// difference against the live counter is the stitched read's freshness
-  /// in edges (GetStats, lock-free).
-  std::atomic<std::uint64_t> folded_recorded_{0};
+  /// The workers' summed cross-home update count read by the last stitch
+  /// pass; the live sum minus this is the stitched read's freshness in
+  /// edges (GetStats, lock-free).
+  std::atomic<std::uint64_t> stitched_updates_{0};
 
   // --- trigger accumulators (written from worker apply paths; one atomic
-  // double per ordered PARTITION pair, CAS-add — allocated only when the
-  // trigger is armed: fleet-wide trigger_weight > 0 or any per-pair
-  // override > 0, and the fleet has > 1 partition) ------------------------
+  // double per ordered PARTITION pair, CAS-add — allocated only when
+  // trigger_weight > 0 and the fleet has > 1 partition) -------------------
   std::unique_ptr<std::atomic<double>[]> pair_weight_;
-  /// Per-ordered-pair wake threshold: trigger_weight with
-  /// pair_trigger_overrides applied symmetrically (<= 0 = pair never
-  /// triggers). Immutable after construction; same allocation condition as
-  /// pair_weight_.
-  std::unique_ptr<double[]> pair_threshold_;
 
   // --- background stitcher (started when stitch.interval_ms > 0 or the
   // trigger is armed) -----------------------------------------------------

@@ -1,7 +1,8 @@
 // Sharded snapshot persistence: a manifest plus one binary base-snapshot
-// file per shard (snapshot.h format), a boundary-index base, and a chain
-// of per-shard delta segments (delta_segment.h) and boundary-index tails —
-// all inside one directory.
+// file per shard (snapshot.h format) and a chain of per-shard delta
+// segments (delta_segment.h), all inside one directory. The stitch pass's
+// boundary weights are derived from the restored graphs, so they have no
+// file.
 //
 // The manifest is deliberately a small line-oriented text file — it holds
 // only topology (shard count, per-shard file names, the checkpoint-epoch
@@ -10,9 +11,9 @@
 // matches the restoring service before touching any shard, so a 4-shard
 // snapshot cannot be half-loaded into an 8-shard service.
 //
-// Format (manifest.spade, version 3 — the only version a reader accepts;
+// Format (manifest.spade, version 4 — the only version a reader accepts;
 // lines in exactly this order):
-//   spade-shard-manifest 3
+//   spade-shard-manifest 4
 //   shards <N>
 //   semantics <name>
 //   epoch <E>                                   (checkpoint epoch restored to)
@@ -20,8 +21,6 @@
 //   file <shard-index> <relative-file-name>     (N lines, dense 0..N-1)
 //   delta <epoch> <shard-index> <relative-file-name>
 //                                               (N lines per epoch B+1..E)
-//   boundary <relative-file-name>               (base boundary index)
-//   boundary-delta <epoch> <relative-file-name> (one line per epoch B+1..E)
 //   placement <pid> <shard>                     (sparse, ascending pid;
 //                                                only non-default owners)
 //   crc <16 hex digits>                         (CRC-64 of all bytes above)
@@ -54,12 +53,6 @@ struct DeltaSegmentRef {
   std::string file;
 };
 
-/// One boundary-index tail referenced by the manifest.
-struct BoundaryTailRef {
-  std::uint64_t epoch = 0;
-  std::string file;
-};
-
 /// Topology of one sharded snapshot directory.
 struct ShardManifest {
   std::uint32_t num_shards = 0;
@@ -68,8 +61,6 @@ struct ShardManifest {
   std::string semantics;
   /// Per-shard base snapshot file names, relative to the directory.
   std::vector<std::string> files;
-  /// Serialized boundary index base, relative to the directory.
-  std::string boundary_file;
 
   /// Checkpoint epoch this directory restores to (>= 1).
   std::uint64_t epoch = 0;
@@ -78,9 +69,6 @@ struct ShardManifest {
   /// Per-shard delta segments, ascending (epoch, shard) — exactly
   /// num_shards entries per epoch in (base_epoch, epoch].
   std::vector<DeltaSegmentRef> deltas;
-  /// Boundary-index tails, ascending epoch — one per epoch in
-  /// (base_epoch, epoch].
-  std::vector<BoundaryTailRef> boundary_tails;
   /// Sparse partition placement at checkpoint time: (pid, owner shard)
   /// pairs, ascending pid, only for partitions NOT on their default owner.
   /// Empty for never-rebalanced fleets.
@@ -103,20 +91,13 @@ std::string ShardSnapshotFileName(std::size_t shard, std::uint64_t epoch);
 /// ("shard-<i>.delta-<epoch>").
 std::string ShardDeltaFileName(std::size_t shard, std::uint64_t epoch);
 
-/// Canonical boundary tail file name ("boundary.tail-<epoch>").
-std::string BoundaryTailFileName(std::uint64_t epoch);
-
-/// Epoch-stamped boundary index name ("boundary.index-<epoch>"); same
-/// no-reuse rationale as the base snapshots.
-std::string BoundaryIndexFileName(std::uint64_t epoch);
-
 /// Path of the manifest inside `dir`.
 std::string ShardManifestPath(const std::string& dir);
 
 /// Creates `dir` if needed and writes the manifest (atomically: temp file +
 /// rename). Validates the chain structure: `manifest.files` must have
 /// exactly `num_shards` entries, `epoch >= base_epoch >= 1`, and the
-/// delta / boundary-tail lists must cover (base_epoch, epoch] densely.
+/// delta list must cover (base_epoch, epoch] densely.
 Status WriteShardManifest(const std::string& dir,
                           const ShardManifest& manifest);
 

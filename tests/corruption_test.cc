@@ -2,8 +2,8 @@
 // label `stress`; the stress CI leg runs it under ASan).
 //
 // Property under test: a random single-byte flip anywhere in a snapshot
-// directory — manifest, base snapshots, boundary index + tails, delta
-// segments — is never silently accepted and never crashes. Binary files
+// directory — manifest, base snapshots, delta segments — is never silently
+// accepted and never crashes. Binary files
 // carry a CRC-64 trailer (which detects every single-byte error), so a flip
 // there must make restore either fail cleanly or fall back to the durable
 // prefix that excludes the flipped epoch. The manifest carries an in-band
@@ -69,7 +69,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.checkpoint.max_delta_base_ratio = 1e9;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 
@@ -177,9 +176,9 @@ class CorruptionFuzzTest : public ::testing::Test {
 };
 
 // Every single-byte flip in a CRC-framed binary file is detected: flips in
-// epoch-2 chain files force recovery to epoch 1; flips in base files (or
-// in the whole-index boundary base) fail the restore outright. Nothing is
-// ever silently accepted as a different graph.
+// epoch-2 chain files force recovery to epoch 1; flips in base files fail
+// the restore outright. Nothing is ever silently accepted as a different
+// graph.
 TEST_F(CorruptionFuzzTest, BinaryFilesNeverAcceptAFlip) {
   struct Target {
     std::string file;
@@ -190,8 +189,6 @@ TEST_F(CorruptionFuzzTest, BinaryFilesNeverAcceptAFlip) {
     targets.push_back({ShardSnapshotFileName(s, 1), true});
     targets.push_back({ShardDeltaFileName(s, 2), false});
   }
-  targets.push_back({BoundaryIndexFileName(1), true});
-  targets.push_back({BoundaryTailFileName(2), false});
 
   Rng rng(23);
   for (const Target& target : targets) {
@@ -236,10 +233,10 @@ TEST_F(CorruptionFuzzTest, BinaryFilesNeverAcceptAFlip) {
   }
 }
 
-// The v3 manifest's in-band crc line makes every single-byte flip a parse
+// The manifest's in-band crc line makes every single-byte flip a parse
 // failure — including flips in fields no structural check covers (the
 // semantics name, a digit of a file name).
-TEST_F(CorruptionFuzzTest, ManifestV3RejectsEveryFlip) {
+TEST_F(CorruptionFuzzTest, ManifestRejectsEveryFlip) {
   const auto path = std::filesystem::path(dir_) / "manifest.spade";
   const std::string pristine = ReadFileBytes(path);
   ASSERT_FALSE(pristine.empty());
@@ -295,19 +292,7 @@ TEST_F(CorruptionFuzzTest, EachReaderAcceptsOnlyItsVersion) {
          return ReadDeltaSegment(join(dir, ShardDeltaFileName(0, 2)),
                                  &segment);
        }},
-      {BoundaryIndexFileName(1), 2, {1}, false,
-       [&](const std::string& dir) {
-         BoundaryEdgeIndex::FileData data;
-         return BoundaryEdgeIndex::ReadFile(
-             join(dir, BoundaryIndexFileName(1)), kShards, &data);
-       }},
-      {BoundaryTailFileName(2), 1, {}, true,
-       [&](const std::string& dir) {
-         BoundaryEdgeIndex::FileData data;
-         return BoundaryEdgeIndex::ReadTailFile(
-             join(dir, BoundaryTailFileName(2)), kShards, 2, &data);
-       }},
-      {"manifest.spade", 3, {1, 2}, false,
+      {"manifest.spade", 4, {1, 2, 3}, false,
        [](const std::string& dir) {
          ShardManifest manifest;
          return ReadShardManifest(dir, &manifest);

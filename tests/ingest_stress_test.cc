@@ -170,7 +170,7 @@ TEST(IngestStressTest, NoLostOrDuplicatedEdgesUnderFullConcurrency) {
         if (c.density < 0.0) ++failures;
         const ShardedServiceStats stats = service.GetStats();
         if (stats.shard_queue_hwm.size() != kShards) ++failures;
-        (void)service.boundary_index().TotalEdges();
+        (void)service.BoundaryWeights();
       }
     });
   }

@@ -2,15 +2,18 @@
 // multi-partition fleet while a mover thread relocates partitions as fast
 // as the quiesce protocol allows, a checkpointer saves delta epochs, an
 // expirer retires the window behind the event clock, and a trigger-armed
-// stitcher folds boundary messages — all racing Drain calls.
+// stitcher sums the moving partitions' boundary weights — all racing Drain
+// calls.
 //
 // The invariants under test are order-independent: no edge is lost or
 // double-applied across a move (fleet-wide processed == accepted), a
-// stitched read never overstates the merged ground truth of the final
-// window, and a checkpoint taken mid-race restores cleanly. Raciness is
-// the point; the test runs in the `stress` ctest label and the TSan CI
-// leg, where the partition-map publishes, the forward hand-offs and the
-// detach/attach fences are checked for data races.
+// stitched read never overstates its members' induced density in the
+// merged graph of the final window, the boundary weights equal the ones
+// recomputed from the partition graphs (live, and after restoring a
+// checkpoint taken mid-race), and that checkpoint restores cleanly.
+// Raciness is the point; the test runs in the `stress` ctest label and the
+// TSan CI leg, where the partition-map publishes, the forward hand-offs
+// and the detach/attach fences are checked for data races.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/dynamic_graph.h"
+#include "metrics/density.h"
 #include "metrics/semantics.h"
 #include "service/sharded_detection_service.h"
 #include "tests/test_util.h"
@@ -81,7 +86,7 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
           auto s = static_cast<VertexId>(tenant * kVerticesPerTenant +
                                          rng.NextBounded(kVerticesPerTenant));
           VertexId d;
-          if (i % 4 == 0) {  // cross-tenant: boundary messages stay hot
+          if (i % 4 == 0) {  // cross-tenant: boundary weights stay hot
             const auto other =
                 (tenant + 1 + rng.NextBounded(kPartitions - 1)) % kPartitions;
             d = static_cast<VertexId>(other * kVerticesPerTenant +
@@ -112,15 +117,20 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
   }
 
   // Mover: relocates random partitions as fast as quiesce allows — every
-  // move races live applies, forcing the forward path constantly.
+  // move races live applies, forcing the forward path constantly. Each
+  // call targets a shard other than the current owner (only this thread
+  // moves partitions), and at least one runs however early the producers
+  // finish.
   std::thread mover([&] {
     Rng rng(31);
-    while (!producers_done.load(std::memory_order_acquire)) {
+    do {
       const std::size_t pid = rng.NextBounded(kPartitions);
-      const std::size_t to = rng.NextBounded(num_shards);
+      const std::size_t to = (service.PartitionShard(pid) + 1 +
+                              rng.NextBounded(num_shards - 1)) %
+                             num_shards;
       ASSERT_TRUE(service.RebalanceNow(pid, to).ok());
       std::this_thread::yield();
-    }
+    } while (!producers_done.load(std::memory_order_acquire));
   });
 
   // Expirer: explicit RetireOlderThan racing moves — retire markers must
@@ -135,16 +145,17 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
 
   // Checkpointer: delta-chain saves racing moves — each save walks every
   // partition under the same rebalance lock the mover contends for, and
-  // records the placement it found.
+  // records the placement it found. At least one save runs however early
+  // the producers finish, so the restore below always finds a manifest.
   std::thread checkpointer([&] {
-    while (!producers_done.load(std::memory_order_acquire)) {
+    do {
       ASSERT_TRUE(service
                       .SaveState(dir,
                                  ShardedDetectionService::SaveMode::kAuto,
                                  nullptr)
                       .ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    } while (!producers_done.load(std::memory_order_acquire));
   });
 
   // Drain + stitch readers racing everything else.
@@ -169,20 +180,19 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
   EXPECT_EQ(service.EdgesProcessed(), accepted_total.load());
 
   const GlobalCommunity final_pass = service.StitchNow();
-  std::vector<Edge> window;
+  testing::ExpectBoundaryWeightsMatchGraphs(&service,
+                                            options.partitioner.home);
+  // The oracle is the members' own induced density in the merged window
+  // graph, not the merged graph's peel: greedy peeling is a heuristic, and
+  // a per-partition peel can find a denser set than the merged one does.
+  DynamicGraph merged(n);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::vector<Edge> shard_window = service.ShardWindow(s);
-    window.insert(window.end(), shard_window.begin(), shard_window.end());
+    for (const Edge& e : service.ShardWindow(s)) {
+      ASSERT_TRUE(merged.AddEdge(e.src, e.dst, e.weight).ok());
+    }
   }
-  Spade empty;
-  empty.SetSemantics(MakeDW());
-  ASSERT_TRUE(empty.BuildGraph(n, {}).ok());
-  ShardedDetectionService merged(testing::OneShard(std::move(empty)),
-                                 nullptr);
-  for (const Edge& e : window) ASSERT_TRUE(merged.Submit(e).ok());
-  merged.Drain();
-  const double truth = merged.CurrentCommunity().density;
-  EXPECT_LE(final_pass.density, truth + 1e-9);
+  EXPECT_LE(final_pass.density,
+            SubgraphDensity(merged, final_pass.members) + 1e-9);
 
   const ShardedServiceStats stats = service.GetStats();
   EXPECT_GT(stats.edges_processed, 0u);
@@ -207,6 +217,8 @@ TEST(RebalanceStressTest, MovesRaceIngestRetireCheckpointAndStitch) {
                     .ok());
   }
   EXPECT_GT(restored_edges, 0u);
+  testing::ExpectBoundaryWeightsMatchGraphs(&restored,
+                                            options.partitioner.home);
 
   service.Stop();
   restored.Stop();

@@ -358,7 +358,6 @@ TEST(RebalanceTest, MidRebalanceCheckpointRestoresBitIdentical) {
   ShardedDetectionService live(
       BuildPartitions(kPartitions, kPartitions, initial), nullptr,
       RebalanceOptionsFor(/*partitions_per_shard=*/2));
-  live.SeedBoundaryIndex(initial);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(live.Submit(TenantEdge(&rng, rng.NextBounded(kPartitions))).ok());
   }

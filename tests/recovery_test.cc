@@ -36,7 +36,7 @@ constexpr std::size_t kInitialEdges = 400;
 constexpr std::size_t kChunkEdges = 120;
 
 /// Parity routing: deterministic homes, ~half of all traffic cross-home,
-/// so every delta epoch also writes a non-trivial boundary tail.
+/// so every restore also rebuilds non-trivial boundary weights.
 Partitioner ParityPartitioner() {
   return Partitioner(
       [](const Edge& e) -> std::size_t { return e.src % kShards; },
@@ -74,7 +74,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.window.span = window_span;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 
@@ -296,9 +295,10 @@ TEST_F(RecoveryTest, TruncatingWriterSeamFallsBackToDurableEpoch) {
 }
 
 // Exhaustive torn-tail sweep: every framing boundary and a mid-record cut
-// of every record of the last epoch's segments (and a byte sweep of the
-// boundary tail) must restore to the last durable epoch — never a partial
-// graph, never an error, and bit-identical to the live fleet's capture.
+// of every record of the last epoch's segments (and a format-agnostic byte
+// sweep of shard 0's segment) must restore to the last durable epoch —
+// never a partial graph, never an error, and bit-identical to the live
+// fleet's capture.
 TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   constexpr std::size_t kEpochs = 3;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/303);
@@ -336,10 +336,10 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
     targets.push_back(std::move(t));
   }
   {
-    // Boundary tail: sweep every few bytes (format-agnostic), which covers
-    // header, record and trailer cuts at its small size.
+    // Every few bytes, blind to the record layout: cuts the framing-aware
+    // list above would never pick (inside the header fields, mid-flush).
     Target t;
-    t.file = BoundaryTailFileName(kEpochs);
+    t.file = ShardDeltaFileName(0, kEpochs);
     const auto size = std::filesystem::file_size(
         std::filesystem::path(dir_) / t.file);
     for (std::uint64_t cut = 0; cut < size; cut += 3) t.cuts.push_back(cut);
@@ -454,8 +454,6 @@ TEST_F(RecoveryTest, CrashedCompactionLeavesPreviousCheckpointRestorable) {
         std::filesystem::path(dir_) / ShardSnapshotFileName(s, 3),
         std::filesystem::path(work_) / ShardSnapshotFileName(s, 3));
   }
-  std::filesystem::copy_file(std::filesystem::path(dir_) / BoundaryIndexFileName(3),
-                             std::filesystem::path(work_) / BoundaryIndexFileName(3));
 
   auto victim = BuildService(run.initial);
   ShardedDetectionService::RestoreInfo rinfo;
@@ -475,15 +473,13 @@ TEST_F(RecoveryTest, RecoveredFleetConvergesWithUninterruptedFleet) {
   constexpr std::size_t kEpochs = 3;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/606);
 
-  // Tear the whole last epoch (both shard segments + the boundary tail):
-  // a crash that lost every data page of the final save.
+  // Tear the whole last epoch (both shard segments): a crash that lost
+  // every data page of the final save.
   CopyDir(dir_, work_);
   for (std::size_t s = 0; s < kShards; ++s) {
     std::filesystem::resize_file(
         std::filesystem::path(work_) / ShardDeltaFileName(s, kEpochs), 16);
   }
-  std::filesystem::resize_file(
-      std::filesystem::path(work_) / BoundaryTailFileName(kEpochs), 5);
 
   auto recovered = BuildService(run.initial);
   ShardedDetectionService::RestoreInfo info;

@@ -59,7 +59,6 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.checkpoint.max_delta_base_ratio = 1e9;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
-  service->SeedBoundaryIndex(initial);
   return service;
 }
 
@@ -177,7 +176,8 @@ TEST(NextEpochForDir, IgnoresForeignFilesAndNeverDeletesThem) {
       "shard-0.delta-90x",        // non-numeric epoch
       "shard-x.snapshot-903",     // non-numeric shard
       "shard-0.delta-",           // empty epoch
-      "boundary.tail-90 4",       // embedded space
+      "shard-0.delta-90 4",       // embedded space
+      "boundary.tail-904",        // not a checkpoint artifact stem
       "shard-0.snapshot-99999999999999999999",  // epoch overflows u64
   };
   for (const std::string& name : foreign) {

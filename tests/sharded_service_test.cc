@@ -198,8 +198,8 @@ TEST(ShardedDetectionServiceTest, SubmitBatchRoutesAcrossShards) {
 
 // RouterScratch property: the batched partition must agree exactly with
 // per-edge routing — same shard per edge, chunk order preserved within a
-// shard. (Boundary recording moved off the router to the worker apply
-// path; RoutingPropertyTest in stitching_test.cc covers its exactness.)
+// shard. (Boundary weights live on the worker apply path;
+// RoutingPropertyTest in stitching_test.cc covers their exactness.)
 TEST(RouterScratchTest, MatchesPerEdgeRouting) {
   constexpr std::size_t kShards = 4;
   const Partitioner p = HashOfSourcePartitioner();
@@ -461,7 +461,8 @@ TEST(ShardedDetectionServiceTest, StitchCountersResetOnRestore) {
   const ShardedServiceStats after = service.GetStats();
   EXPECT_EQ(after.stitch_passes, 0u);
   EXPECT_EQ(after.stitched_alerts, 0u);
-  // boundary_edges reflects the restored index, not the old total plus it.
+  // boundary_edges is rebuilt from the restored graphs, not added to the
+  // old total.
   EXPECT_EQ(after.boundary_edges, before.boundary_edges);
 
   // The restored run counts from zero.

@@ -9,10 +9,10 @@
 //    cross-shard (every one of its edges is a boundary edge).
 //  * Routing property: for hash, tenant and an adversarial
 //    round-robin-by-edge partitioner, every submitted edge lands in exactly
-//    one shard's detector, plus the boundary index iff its endpoints' home
-//    shards differ (the double-count/drop seam).
+//    one shard's detector, and counts in the boundary weights iff its
+//    endpoints' home partitions differ (the double-count/drop seam).
 //  * Tenant regression: a cross-tenant ring used to be silently routed into
-//    the source tenant's shard with no record; it must now be recorded and
+//    the source tenant's shard with no record; it must now be counted and
 //    detected by the stitch pass, surviving save/restore.
 //
 // The randomized differentials are labeled `stress` in ctest and run in a
@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,6 +38,7 @@
 #include "metrics/density.h"
 #include "metrics/semantics.h"
 #include "service/sharded_detection_service.h"
+#include "storage/delta_segment.h"
 #include "tests/test_util.h"
 
 namespace spade {
@@ -90,7 +92,7 @@ Spade BuildMergedDetector(std::size_t n) {
 }
 
 /// Drives the stream into the service with a mix of per-edge and batched
-/// submission (both paths must record boundary edges identically).
+/// submission (both paths must count boundary edges identically).
 void SubmitAll(ShardedDetectionService* service,
                const std::vector<Edge>& stream) {
   std::size_t i = 0;
@@ -128,7 +130,7 @@ TEST_P(StitchDifferentialTest, StitchedDensityMatchesMergedDetector) {
     const std::size_t n = 64 + rng.NextBounded(64);
 
     // Hash-routed service over empty detectors; the whole stream goes
-    // through the router so the boundary index sees every cross-home edge.
+    // through the router, so every cross-home edge is a live update.
     ShardedDetectionServiceOptions options;
     options.partitioner = HashOfSourcePartitioner();
     ShardedDetectionService service(BuildEmptyShards(num_shards, n), nullptr,
@@ -231,7 +233,7 @@ TEST_P(StitchDifferentialTest, EntirelyCrossShardCommunityIsStitched) {
   SubmitAll(&service, stream);
   service.Drain();
 
-  // Every ring edge crossed homes, so all 120 are indexed (plus whatever
+  // Every ring edge crossed homes, so all 120 are counted (plus whatever
   // the background contributed).
   EXPECT_GE(service.GetStats().boundary_edges, 120u);
 
@@ -260,7 +262,7 @@ TEST_P(StitchDifferentialTest, EntirelyCrossShardCommunityIsStitched) {
 }
 
 // ------------------------------------------------------------------------
-// Routing property: exactly one detector, boundary index iff cross-home.
+// Routing property: exactly one detector, boundary weight iff cross-home.
 // ------------------------------------------------------------------------
 
 struct NamedPartitioner {
@@ -318,16 +320,15 @@ TEST(RoutingPropertyTest, ExactlyOneDetectorAndBoundaryIffCrossHome) {
     }
     // Exactly once in a detector...
     EXPECT_EQ(landed, stream.size()) << name;
-    // ...plus the boundary index iff the endpoints' homes differ.
+    // ...plus the boundary weights iff the endpoints' homes differ.
     EXPECT_EQ(stats.boundary_edges, expected_boundary) << name;
     EXPECT_GT(expected_boundary, 0u) << name;
 
-    // The indexed edges are exactly the cross-home subset (multiset).
-    std::vector<Edge> indexed = service.boundary_index().SnapshotEdges();
-    EXPECT_EQ(indexed.size(), expected_boundary) << name;
-    for (const Edge& e : indexed) {
-      EXPECT_NE(service.HomeShardOf(e.src), service.HomeShardOf(e.dst))
-          << name;
+    // Per vertex, the weights the stitch pass reads are exactly the
+    // cross-home edges the detectors hold.
+    {
+      SCOPED_TRACE(name);
+      testing::ExpectBoundaryWeightsMatchGraphs(&service, partitioner.home);
     }
     service.Stop();
   }
@@ -350,7 +351,7 @@ TEST(RoutingPropertyTest, BuiltInPartitionersRouteToSourceHome) {
 }
 
 // ------------------------------------------------------------------------
-// Tenant regression: cross-tenant edges are recorded and stitchable.
+// Tenant regression: cross-tenant edges are counted and stitchable.
 // ------------------------------------------------------------------------
 
 constexpr VertexId kVerticesPerTenant = 64;
@@ -421,8 +422,9 @@ TEST(TenantStitchingTest, CrossTenantRingIsRecordedAndDetected) {
   EXPECT_NEAR(stitched.density, merged_service.CurrentCommunity().density,
               1e-9);
 
-  // Save/restore round-trips the boundary index; the restored fleet
-  // re-stitches the same ring without replaying the stream.
+  // Save/restore rebuilds the boundary weights from the restored graphs;
+  // the restored fleet re-stitches the same ring without replaying the
+  // stream.
   const std::string dir = ::testing::TempDir() + "/stitching_snapshot";
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(service.SaveState(dir).ok());
@@ -473,7 +475,7 @@ TEST(TenantStitchingTest, PeriodicStitcherPublishes) {
 }
 
 // ------------------------------------------------------------------------
-// Message-driven stitching: triggers, truncation, expiry, compaction.
+// Message-driven stitching: triggers, truncation, expiry, restore.
 // ------------------------------------------------------------------------
 
 // Regression: a single-shard service with interval_ms > 0 used to never
@@ -670,14 +672,18 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   EXPECT_GE(service.GetStats().retired_edges, 60u);
 }
 
-// Compaction: after a stitch pass folds the queues, consumed raw edges
-// collapse into per-vertex weight blocks — totals, save/restore and
-// re-stitching stay exact, and the resident footprint drops well below
-// the uncompacted build of the same history.
-TEST(MessageDrivenStitchingTest, CompactedBoundarySaveRestoreExact) {
+// Boundary weights are derived state: a fleet restored from a base + delta
+// chain, and a standby that replays the last epoch onto the base, both
+// rebuild them from their graphs — equal to the live fleet's, so the seam
+// candidates and the re-stitched answer are the same. A replay that ends
+// with edges still in the benign buffer counts them from there.
+TEST(MessageDrivenStitchingTest, RestoredBoundaryWeightsEqualLive) {
   constexpr std::size_t kShards = 2;
   const std::size_t n = kShards * kVerticesPerTenant;
   Rng rng(505);
+  const Partitioner partitioner = TenantPartitioner(kVerticesPerTenant);
+  ShardedDetectionServiceOptions options;
+  options.partitioner = partitioner;
 
   std::vector<Edge> stream;
   const std::vector<VertexId> ring = {
@@ -685,167 +691,100 @@ TEST(MessageDrivenStitchingTest, CompactedBoundarySaveRestoreExact) {
       11, static_cast<VertexId>(kVerticesPerTenant + 11),
       12, static_cast<VertexId>(kVerticesPerTenant + 12)};
   InjectRing(&stream, 0, ring, 300, 20.0, &rng);
+  for (int i = 0; i < 300; ++i) stream.push_back(BackgroundEdge(&rng, n));
+  const std::size_t half = stream.size() / 2;
 
-  const auto build = [&](bool compact) {
-    ShardedDetectionServiceOptions options;
-    options.partitioner = TenantPartitioner(kVerticesPerTenant);
-    options.stitch.compact_boundary = compact;
-    return options;
-  };
-
-  ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                  build(true));
-  SubmitAll(&service, stream);
-  service.Drain();
-  const GlobalCommunity stitched = service.StitchNow();
+  ShardedDetectionService live(BuildEmptyShards(kShards, n), nullptr,
+                               options);
+  const std::string dir = ::testing::TempDir() + "/restored_boundary";
+  const std::string base_dir = dir + "-base";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(base_dir);
+  SubmitAll(&live, std::vector<Edge>(stream.begin(), stream.begin() + half));
+  live.Drain();
+  ASSERT_TRUE(live.SaveState(dir).ok());
+  std::filesystem::copy(dir, base_dir);  // the chain as of epoch 1
+  SubmitAll(&live, std::vector<Edge>(stream.begin() + half, stream.end()));
+  live.Drain();
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(live.SaveState(dir, ShardedDetectionService::SaveMode::kDelta,
+                             &info)
+                  .ok());
+  ASSERT_EQ(info.epoch, 2u);
+  const GlobalCommunity stitched = live.StitchNow();
   ASSERT_TRUE(stitched.stitched);
+  testing::ExpectBoundaryWeightsMatchGraphs(&live, partitioner.home);
+  const std::unordered_map<VertexId, double> want = live.BoundaryWeights();
+  const std::uint64_t want_edges = live.GetStats().boundary_edges;
+  ASSERT_GE(want_edges, 300u);
 
-  const ShardedServiceStats stats = service.GetStats();
-  EXPECT_EQ(stats.boundary_edges, 300u);  // totals survive compaction
-  EXPECT_GE(stats.boundary_compacted_edges, 200u);
-  EXPECT_EQ(stats.boundary_unconsumed_edges, 0u);
-
-  // A/B the resident footprint against the same history uncompacted.
-  ShardedDetectionService raw_service(BuildEmptyShards(kShards, n), nullptr,
-                                      build(false));
-  SubmitAll(&raw_service, stream);
-  raw_service.Drain();
-  (void)raw_service.StitchNow();
-  const ShardedServiceStats raw_stats = raw_service.GetStats();
-  EXPECT_EQ(raw_stats.boundary_compacted_edges, 0u);
-  EXPECT_LE(stats.boundary_resident_bytes,
-            raw_stats.boundary_resident_bytes / 2);
-
-  // Save after compaction (a format-2 base), restore, and re-stitch: the
-  // compacted index must reproduce the exact stitched answer.
-  const std::string dir = ::testing::TempDir() + "/compacted_boundary";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(service.SaveState(dir).ok());
-  service.Stop();
-
-  ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
-                                   build(true));
-  ASSERT_TRUE(restored.RestoreState(dir).ok());
-  EXPECT_EQ(restored.GetStats().boundary_edges, 300u);
-  const GlobalCommunity restitched = restored.StitchNow();
-  EXPECT_TRUE(restitched.stitched);
-  EXPECT_NEAR(restitched.density, stitched.density, 1e-9);
-  EXPECT_EQ(Sorted(restitched.members), Sorted(stitched.members));
-  std::filesystem::remove_all(dir);
-}
-
-// Per-pair trigger overrides: with the fleet-wide trigger_weight unset, an
-// override on pair {0, 1} arms the stitcher for that seam alone. The same
-// ring traffic on the non-overridden pair {0, 2} must accumulate weight
-// silently and never wake anything.
-TEST(MessageDrivenStitchingTest, PairOverrideArmsOnlyItsPair) {
-  constexpr std::size_t kShards = 3;
-  const std::size_t n = kShards * kVerticesPerTenant;
-
-  auto build = [&] {
-    ShardedDetectionServiceOptions options;
-    options.partitioner = TenantPartitioner(kVerticesPerTenant);
-    options.stitch.interval_ms = 0;     // no timer
-    options.stitch.trigger_weight = 0;  // fleet-wide trigger unset...
-    // ...but {0, 1} armed on its own, below one ring edge's weight so the
-    // last edge always wakes a covering pass (see
-    // TriggerWakesStitcherWithoutTimer).
-    options.stitch.pair_trigger_overrides.push_back({0, 1, 20.0});
-    return options;
-  };
-  auto ring_across = [&](std::size_t other_tenant) {
-    Rng rng(611);
-    std::vector<Edge> stream;
-    const std::vector<VertexId> ring = {
-        5, static_cast<VertexId>(other_tenant * kVerticesPerTenant + 5),
-        6, static_cast<VertexId>(other_tenant * kVerticesPerTenant + 6)};
-    InjectRing(&stream, 0, ring, 80, 30.0, &rng);
-    return stream;
-  };
-
-  {
-    // Ring across the overridden pair: the trigger fires with no timer.
-    ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                    build());
-    const std::vector<Edge> stream = ring_across(1);
-    SubmitAll(&service, stream);
-    service.Drain();
-    ShardedDetectionService merged(testing::OneShard(BuildMergedDetector(n)),
-                                   nullptr);
-    for (const Edge& e : stream) ASSERT_TRUE(merged.Submit(e).ok());
-    merged.Drain();
-    const double want = merged.CurrentCommunity().density;
-    GlobalCommunity g;
-    for (int i = 0; i < 500; ++i) {
-      g = service.CurrentGlobalCommunity();
-      if (g.stitched && std::abs(g.density - want) < 1e-9) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto expect_weights_equal_live = [&](ShardedDetectionService* fleet) {
+    testing::ExpectBoundaryWeightsMatchGraphs(fleet, partitioner.home);
+    EXPECT_EQ(fleet->GetStats().boundary_edges, want_edges);
+    const std::unordered_map<VertexId, double> got = fleet->BoundaryWeights();
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [v, w] : want) {
+      ASSERT_EQ(got.count(v), 1u) << "vertex " << v;
+      EXPECT_NEAR(got.at(v), w, 1e-9 * std::max(1.0, w)) << "vertex " << v;
     }
-    EXPECT_TRUE(g.stitched);
-    EXPECT_GE(service.GetStats().stitch_triggers, 1u);
-    EXPECT_NEAR(g.density, want, 1e-9);
-    service.Stop();
+  };
+  const auto expect_restitch_equal_live = [&](ShardedDetectionService* fleet) {
+    const GlobalCommunity restitched = fleet->StitchNow();
+    EXPECT_TRUE(restitched.stitched);
+    EXPECT_NEAR(restitched.density, stitched.density, 1e-9);
+    EXPECT_EQ(Sorted(restitched.members), Sorted(stitched.members));
+  };
+  {
+    SCOPED_TRACE("RestoreState of the base + delta chain");
+    ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
+                                     options);
+    ASSERT_TRUE(restored.RestoreState(dir).ok());
+    expect_weights_equal_live(&restored);
+    expect_restitch_equal_live(&restored);
   }
   {
-    // Same ring weight across {0, 2}: no override, fleet trigger unset —
-    // the boundary index records the seam but the stitcher never wakes.
-    ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                    build());
-    SubmitAll(&service, ring_across(2));
-    service.Drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const ShardedServiceStats stats = service.GetStats();
-    EXPECT_EQ(stats.stitch_triggers, 0u);
-    EXPECT_EQ(stats.stitch_passes, 0u);
-    EXPECT_GT(stats.boundary_edges, 0u);  // the seam IS recorded
-    service.Stop();
+    SCOPED_TRACE("ApplyChainEpoch of epoch 2 onto the epoch-1 base");
+    ShardedDetectionService standby(BuildEmptyShards(kShards, n), nullptr,
+                                    options);
+    ASSERT_TRUE(standby.RestoreState(base_dir).ok());
+    ASSERT_TRUE(
+        standby.ApplyChainEpoch(dir, 2, std::chrono::seconds(10)).ok());
+    expect_weights_equal_live(&standby);
+    expect_restitch_equal_live(&standby);
   }
-}
-
-// A weight <= 0 override DISARMS one pair under a fleet-wide trigger: the
-// muted seam accumulates weight without waking the stitcher, while any
-// other pair still fires at the fleet threshold.
-TEST(MessageDrivenStitchingTest, PairOverrideCanMuteOnePair) {
-  constexpr std::size_t kShards = 3;
-  const std::size_t n = kShards * kVerticesPerTenant;
-  Rng rng(613);
-
-  ShardedDetectionServiceOptions options;
-  options.partitioner = TenantPartitioner(kVerticesPerTenant);
-  options.stitch.interval_ms = 0;
-  options.stitch.trigger_weight = 50.0;
-  options.stitch.pair_trigger_overrides.push_back({0, 1, 0.0});  // muted
-  ShardedDetectionService service(BuildEmptyShards(kShards, n), nullptr,
-                                  options);
-
-  // Heavy traffic on the muted pair first: must not trigger.
-  std::vector<Edge> muted;
-  const std::vector<VertexId> muted_ring = {
-      5, static_cast<VertexId>(kVerticesPerTenant + 5),
-      6, static_cast<VertexId>(kVerticesPerTenant + 6)};
-  InjectRing(&muted, 0, muted_ring, 80, 30.0, &rng);
-  SubmitAll(&service, muted);
-  service.Drain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(service.GetStats().stitch_triggers, 0u);
-
-  // The non-overridden pair {0, 2} still fires at the fleet threshold.
-  std::vector<Edge> live;
-  const std::vector<VertexId> live_ring = {
-      7, static_cast<VertexId>(2 * kVerticesPerTenant + 7),
-      8, static_cast<VertexId>(2 * kVerticesPerTenant + 8)};
-  InjectRing(&live, 0, live_ring, 80, 30.0, &rng);
-  SubmitAll(&service, live);
-  service.Drain();
-  GlobalCommunity g;
-  for (int i = 0; i < 500; ++i) {
-    g = service.CurrentGlobalCommunity();
-    if (g.stitched) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  {
+    SCOPED_TRACE("a chain whose last segments end before their flush");
+    // Without its final flush marker, a segment's trailing benign edges
+    // replay into the benign buffer instead of the graph.
+    for (std::size_t pid = 0; pid < kShards; ++pid) {
+      const std::string path =
+          (std::filesystem::path(dir) / ShardDeltaFileName(pid, 2)).string();
+      DeltaSegment segment;
+      ASSERT_TRUE(ReadDeltaSegment(path, &segment).ok());
+      if (!segment.records.empty() && segment.records.back().flush) {
+        segment.records.pop_back();
+      }
+      ASSERT_TRUE(WriteDeltaSegment(path, segment).ok());
+    }
+    ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
+                                     options);
+    ASSERT_TRUE(restored.RestoreState(dir).ok());
+    std::size_t buffered = 0;
+    for (std::size_t pid = 0; pid < kShards; ++pid) {
+      ASSERT_TRUE(restored
+                      .InspectPartition(pid,
+                                        [&](const Spade& spade) {
+                                          buffered +=
+                                              spade.PendingBenignEdges();
+                                        })
+                      .ok());
+    }
+    ASSERT_GT(buffered, 0u);
+    expect_weights_equal_live(&restored);
   }
-  EXPECT_TRUE(g.stitched);
-  EXPECT_GE(service.GetStats().stitch_triggers, 1u);
-  service.Stop();
+  live.Stop();
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(base_dir);
 }
 
 }  // namespace

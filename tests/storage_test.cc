@@ -174,7 +174,6 @@ ShardManifest MakeManifest(std::uint32_t shards) {
   manifest.semantics = "DW";
   manifest.epoch = 1;
   manifest.base_epoch = 1;
-  manifest.boundary_file = BoundaryIndexFileName(1);
   for (std::size_t i = 0; i < shards; ++i) {
     manifest.files.push_back(ShardSnapshotFileName(i, 1));
   }
@@ -193,7 +192,6 @@ TEST_F(ShardManifestTest, RoundTrip) {
   EXPECT_EQ(read.epoch, 1u);
   EXPECT_EQ(read.base_epoch, 1u);
   EXPECT_TRUE(read.deltas.empty());
-  EXPECT_TRUE(read.boundary_tails.empty());
 }
 
 TEST_F(ShardManifestTest, ChainRoundTrip) {
@@ -203,7 +201,6 @@ TEST_F(ShardManifestTest, ChainRoundTrip) {
     for (std::uint32_t s = 0; s < 2; ++s) {
       manifest.deltas.push_back({e, s, ShardDeltaFileName(s, e)});
     }
-    manifest.boundary_tails.push_back({e, BoundaryTailFileName(e)});
   }
   ASSERT_TRUE(WriteShardManifest(dir_, manifest).ok());
 
@@ -214,8 +211,6 @@ TEST_F(ShardManifestTest, ChainRoundTrip) {
   EXPECT_EQ(read.ChainLength(), 2u);
   ASSERT_EQ(read.deltas.size(), 4u);
   EXPECT_EQ(read.deltas[3].file, ShardDeltaFileName(1, 3));
-  ASSERT_EQ(read.boundary_tails.size(), 2u);
-  EXPECT_EQ(read.boundary_tails[1].epoch, 3u);
 }
 
 TEST_F(ShardManifestTest, RejectsOutOfOrderChain) {
@@ -223,7 +218,6 @@ TEST_F(ShardManifestTest, RejectsOutOfOrderChain) {
   manifest.epoch = 2;
   manifest.deltas.push_back({2, 1, ShardDeltaFileName(1, 2)});
   manifest.deltas.push_back({2, 0, ShardDeltaFileName(0, 2)});
-  manifest.boundary_tails.push_back({2, BoundaryTailFileName(2)});
   const Status s = WriteShardManifest(dir_, manifest);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);

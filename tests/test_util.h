@@ -1,12 +1,16 @@
 // Shared helpers for the Spade test suites: random graph construction with
 // exactly-representable weights, reference validators for peeling
-// sequences, and the shard list of a single-node service.
+// sequences, the shard list of a single-node service, and an audit of a
+// fleet's boundary weights against its graphs.
 
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "graph/types.h"
 #include "peel/indexed_heap.h"
 #include "peel/peel_state.h"
+#include "service/sharded_detection_service.h"
 
 namespace spade::testing {
 
@@ -58,6 +63,48 @@ inline std::vector<Spade> OneShard(Spade spade) {
   std::vector<Spade> shards;
   shards.push_back(std::move(spade));
   return shards;
+}
+
+/// Drains the fleet, recomputes every vertex's cross-home edge weight from
+/// each partition's graph and benign buffer (through InspectPartition; a
+/// vertex's home partition is home(v) modulo the partition count), and
+/// expects it to equal what the stitch pass reads (BoundaryWeights), and
+/// the cross-home edge count to equal GetStats().boundary_edges. Call it on
+/// a quiesced fleet. The tolerance only absorbs summation order.
+inline void ExpectBoundaryWeightsMatchGraphs(ShardedDetectionService* service,
+                                             const VertexHomeFn& home) {
+  service->Drain();
+  const std::size_t n = service->num_partitions();
+  std::unordered_map<VertexId, double> expected;
+  std::uint64_t edges = 0;
+  const auto count = [&](VertexId src, VertexId dst, double weight) {
+    if (home(src) % n == home(dst) % n) return;
+    expected[src] += weight;
+    expected[dst] += weight;
+    ++edges;
+  };
+  const auto scan = [&count](const Spade& spade) {
+    const DynamicGraph& g = spade.graph();
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (const NeighborEntry& e : g.OutNeighbors(v)) {
+        count(v, e.vertex, e.weight);
+      }
+    }
+    for (const Edge& e : spade.benign_buffer()) count(e.src, e.dst, e.weight);
+  };
+  for (std::size_t pid = 0; pid < n; ++pid) {
+    ASSERT_TRUE(service->InspectPartition(pid, scan).ok());
+  }
+  EXPECT_EQ(service->GetStats().boundary_edges, edges);
+  const std::unordered_map<VertexId, double> actual =
+      service->BoundaryWeights();
+  EXPECT_EQ(actual.size(), expected.size());
+  for (const auto& [v, w] : expected) {
+    const auto it = actual.find(v);
+    ASSERT_NE(it, actual.end()) << "vertex " << v << " has no weight";
+    EXPECT_NEAR(it->second, w, 1e-6 * std::max(1.0, std::abs(w)))
+        << "vertex " << v;
+  }
 }
 
 /// Asserts two peel states are identical (same sequence, deltas within eps).
