@@ -104,34 +104,81 @@ Status Spade::InsertWeightedBatch(std::span<const Edge> weighted) {
   return engine_.InsertBatch(&graph_, &state_, weighted, vsusp_, &stats_);
 }
 
-Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
+Result<bool> Spade::Admit(const Edge& raw_edge, double* applied_weight,
+                          Edge* weighted) {
   // Reject before growing the graph: a failed insert must not leave
   // vertices the peel state does not cover.
   if (raw_edge.src == raw_edge.dst) {
     return Status::InvalidArgument("ApplyEdge: self-loops not supported");
   }
   EnsureEndpoints(raw_edge);
-  const Edge weighted = Weight(raw_edge);
+  *weighted = Weight(raw_edge);
   // The weight is fixed here, at admission — a benign-buffered edge still
   // enters the graph with this value when the buffer flushes, so it is the
   // weight a later RetireEdge must subtract.
-  if (applied_weight != nullptr) *applied_weight = weighted.weight;
-  if (options_.enable_edge_grouping) {
-    if (IsBenign(weighted) &&
-        benign_buffer_.size() < options_.max_benign_buffer) {
-      benign_buffer_.push_back(weighted);
-      pending_wdeg_[weighted.src] += weighted.weight;
-      pending_wdeg_[weighted.dst] += weighted.weight;
-      return Status::OK();
-    }
-    // Urgent edge: reorder the whole buffer together with it (Algorithm 3).
-    benign_buffer_.push_back(weighted);
-    std::vector<Edge> batch;
-    batch.swap(benign_buffer_);
-    pending_wdeg_.clear();
-    return InsertWeightedBatch(batch);
+  if (applied_weight != nullptr) *applied_weight = weighted->weight;
+  if (IsBenign(*weighted) &&
+      benign_buffer_.size() < options_.max_benign_buffer) {
+    benign_buffer_.push_back(*weighted);
+    pending_wdeg_[weighted->src] += weighted->weight;
+    pending_wdeg_[weighted->dst] += weighted->weight;
+    return true;
   }
-  return InsertWeightedBatch(std::span<const Edge>(&weighted, 1));
+  return false;
+}
+
+Status Spade::FoldWith(const Edge& weighted) {
+  if (benign_buffer_.empty()) {
+    return InsertWeightedBatch(std::span<const Edge>(&weighted, 1));
+  }
+  benign_buffer_.push_back(weighted);
+  return Flush();
+}
+
+Status Spade::ApplyEdge(const Edge& raw_edge, double* applied_weight) {
+  Edge weighted;
+  const Result<bool> buffered = Admit(raw_edge, applied_weight, &weighted);
+  if (!buffered.ok()) return buffered.status();
+  if (buffered.value()) return Status::OK();
+  return FoldWith(weighted);
+}
+
+Result<bool> Spade::ApplyEdgeDeferred(const Edge& raw_edge,
+                                      double* applied_weight) {
+  Edge weighted;
+  const Result<bool> buffered = Admit(raw_edge, applied_weight, &weighted);
+  if (!buffered.ok()) return buffered.status();
+  if (buffered.value()) return false;
+  if (benign_buffer_.empty() ||
+      benign_buffer_.size() >= options_.max_benign_buffer) {
+    SPADE_RETURN_NOT_OK(FoldWith(weighted));
+    return true;
+  }
+  // Reorder the urgent edge alone, then keep the buffer only while every
+  // vertex with pending mass stays below the new threshold. The edge
+  // changed the weighted degree of its endpoints alone, so while the
+  // threshold did not fall they are the only vertices to check; when it
+  // fell (greedy peeling is not monotone, and a recomputed density can
+  // also differ from the old one in its last bits) check them all.
+  const double threshold = state_.BestDensity();
+  SPADE_RETURN_NOT_OK(
+      InsertWeightedBatch(std::span<const Edge>(&weighted, 1)));
+  const double best = state_.BestDensity();
+  const auto crossed = [this, best](const auto& pending) {
+    return graph_.WeightedDegree(pending.first) + pending.second >= best;
+  };
+  bool still_benign = true;
+  if (best >= threshold) {
+    for (VertexId v : {weighted.src, weighted.dst}) {
+      const auto it = pending_wdeg_.find(v);
+      if (it != pending_wdeg_.end() && crossed(*it)) still_benign = false;
+    }
+  } else {
+    still_benign =
+        std::none_of(pending_wdeg_.begin(), pending_wdeg_.end(), crossed);
+  }
+  if (!still_benign) SPADE_RETURN_NOT_OK(Flush());
+  return true;
 }
 
 Status Spade::ApplyBatchEdges(std::span<const Edge> raw_edges) {

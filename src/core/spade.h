@@ -8,6 +8,8 @@
 // Edge grouping (Algorithm 3) is optional: when enabled, provably benign
 // edges (Definition 4.1) are buffered and folded in lazily by the batch
 // reorderer, while urgent edges flush the buffer and reorder immediately.
+// The service applies through ApplyEdgeDeferred instead, which reorders an
+// urgent edge on its own and keeps the buffer while it stays benign.
 
 #pragma once
 
@@ -89,14 +91,31 @@ class Spade {
   /// Inserts a batch of raw edges (|ΔE| >= 1) through the batch reorderer.
   Result<Community> InsertBatchEdges(std::span<const Edge> raw_edges);
 
-  /// Apply-only variants: identical reordering without materializing the
-  /// community (Detect() stays O(sequence) and is paid per call, so
-  /// high-throughput ingestion applies edges and detects per flush).
+  /// Apply-only variants: the same reordering as InsertEdge and
+  /// InsertBatchEdges (Algorithm 3: an urgent edge folds the whole benign
+  /// buffer with it) without materializing the community (Detect() stays
+  /// O(sequence) and is paid per call, so high-throughput ingestion applies
+  /// edges and detects per flush).
   /// `applied_weight` (optional) receives the post-ESusp weight the edge
   /// entered (or will enter, if benign-buffered) the graph with — the
   /// weight a later RetireEdge must subtract.
   Status ApplyEdge(const Edge& raw_edge, double* applied_weight = nullptr);
   Status ApplyBatchEdges(std::span<const Edge> raw_edges);
+
+  /// The service's apply path. Admits and buffers a benign edge exactly as
+  /// ApplyEdge does, but an urgent edge arriving over a non-empty buffer
+  /// below max_benign_buffer is reordered on its own, and the buffer stays
+  /// buffered while it is still benign afterwards: every vertex with
+  /// pending mass is below the new best density. When that density did
+  /// not fall, only the edge's endpoints can have crossed it, so only they
+  /// are checked. That invariant is the premise of Lemma 4.4, so the peel
+  /// state's community is the community of graph() plus the buffer.
+  /// Otherwise the edge folds the buffer (Flush), as it does at the cap.
+  /// Deterministic in the detector state, so a replay through this method
+  /// repeats every fold. Returns whether the peel state changed (false
+  /// exactly when the edge was buffered).
+  Result<bool> ApplyEdgeDeferred(const Edge& raw_edge,
+                                 double* applied_weight = nullptr);
 
   /// Deletes one (src, dst) edge (Appendix C.1 extension). Buffered benign
   /// edges are flushed first so deletion sees a consistent state.
@@ -153,6 +172,17 @@ class Spade {
 
   /// Registers unseen endpoints (prior from VSusp) before weighting.
   void EnsureEndpoints(const Edge& raw);
+
+  /// Admission shared by ApplyEdge and ApplyEdgeDeferred: rejects
+  /// self-loops, registers unseen endpoints, weights the edge into
+  /// `*weighted`, and buffers it when it is benign and the buffer is below
+  /// its cap. Returns true when the edge was buffered.
+  Result<bool> Admit(const Edge& raw_edge, double* applied_weight,
+                     Edge* weighted);
+
+  /// Algorithm 3's urgent step: reorders the benign buffer together with
+  /// an already-admitted edge that was not buffered.
+  Status FoldWith(const Edge& weighted);
 
   Status InsertWeightedBatch(std::span<const Edge> weighted);
 

@@ -408,33 +408,35 @@ Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
 // ---------------------------------------------------------------------------
 // Drain / Stop.
 
-void ShardWorker::Drain() {
+void ShardWorker::Drain() { WaitExact(std::nullopt, /*fold_replayed=*/true); }
+
+bool ShardWorker::DrainFor(std::chrono::milliseconds timeout) {
+  return WaitExact(timeout, /*fold_replayed=*/true);
+}
+
+bool ShardWorker::WaitExact(std::optional<std::chrono::milliseconds> timeout,
+                            bool fold_replayed) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
   // Every chunk whose Submit returned before this call holds a ring cell
   // below the claim cursor; a cell claimed but not yet published belongs
   // to a concurrent Submit, whose producer publishes it momentarily.
   const std::uint64_t target = enqueue_pos_.load(std::memory_order_seq_cst);
-  if (exact_pos_ >= target || worker_exited_) return;
+  const auto done = [this, target, fold_replayed] {
+    return (exact_pos_ >= target && !(fold_replayed && fold_wanted_)) ||
+           worker_exited_;
+  };
+  if (done()) return true;
   // The worker folds the benign buffers and republishes only while a
   // drain waiter is registered (exactness on demand keeps edge-grouping
   // amortization intact between drains), so wake it up.
   ++drain_waiters_;
   work_cv_.notify_one();
-  drain_cv_.wait(lock, [this, target] {
-    return exact_pos_ >= target || worker_exited_;
-  });
-  --drain_waiters_;
-}
-
-bool ShardWorker::DrainFor(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  const std::uint64_t target = enqueue_pos_.load(std::memory_order_seq_cst);
-  if (exact_pos_ >= target || worker_exited_) return true;
-  ++drain_waiters_;
-  work_cv_.notify_one();
-  const bool reached = drain_cv_.wait_for(lock, timeout, [this, target] {
-    return exact_pos_ >= target || worker_exited_;
-  });
+  bool reached = true;
+  if (timeout) {
+    reached = drain_cv_.wait_for(lock, *timeout, done);
+  } else {
+    drain_cv_.wait(lock, done);
+  }
   --drain_waiters_;
   return reached;
 }
@@ -739,7 +741,8 @@ Status ShardWorker::ReplayChainLocked(Partition& p,
         SPADE_RETURN_NOT_OK(ReplayRetireLocked(p, record.edge));
       } else {
         double applied = 0;
-        SPADE_RETURN_NOT_OK(p.spade.ApplyEdge(record.edge, &applied));
+        SPADE_RETURN_NOT_OK(
+            p.spade.ApplyEdgeDeferred(record.edge, &applied).status());
         if (options_.track_window) {
           p.window_log.push_back(Edge{record.edge.src, record.edge.dst,
                                       applied, record.edge.ts});
@@ -767,12 +770,23 @@ Status ShardWorker::ReplayChainLocked(Partition& p,
   p.current = std::make_shared<const Community>(std::move(restored));
   PublishArgmaxLocked();
   RebuildBoundaryLocked(p);
+  // A replay that ends with buffered edges leaves them out of the graphs
+  // a stitch pass gathers: have the next Drain fold them (with a flush
+  // marker, like any MakeExact fold) although no ring cell is pending.
+  const bool buffered =
+      std::any_of(parts_.begin(), parts_.end(), [](const auto& q) {
+        return q->spade.PendingBenignEdges() > 0;
+      });
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  fold_wanted_ = buffered;
   return Status::OK();
 }
 
 Status ShardWorker::RestorePartitionChain(std::size_t pid,
                                           RestorePlan&& plan) {
-  Drain();
+  // Leaves the buffers of partitions restored before this one alone: they
+  // must match the live history until the restore is complete.
+  WaitExact(std::nullopt, /*fold_replayed=*/false);
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
   if (p == nullptr) {
@@ -789,7 +803,10 @@ Status ShardWorker::RestorePartitionChain(std::size_t pid,
 Status ShardWorker::ReplayPartitionSegment(
     std::size_t pid, const DeltaSegment& segment,
     std::chrono::milliseconds drain_timeout) {
-  if (!DrainFor(drain_timeout)) {
+  // A standby replays its owner's segments back to back and folds only
+  // where the owner did, so this wait leaves a buffer the previous segment
+  // replayed into alone.
+  if (!WaitExact(drain_timeout, /*fold_replayed=*/false)) {
     return Status::FailedPrecondition(
         "ReplayPartitionSegment: shard queue did not drain within " +
         std::to_string(drain_timeout.count()) + "ms");
@@ -937,8 +954,8 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
       return false;
     }
     double applied = 0;
-    const Status s = p->spade.ApplyEdge(edge, &applied);
-    if (s.ok()) {
+    const Result<bool> changed = p->spade.ApplyEdgeDeferred(edge, &applied);
+    if (changed.ok()) {
       AppendDeltaRecord(*p, DeltaRecord::Insert(edge));
       const Edge weighted{edge.src, edge.dst, applied, edge.ts};
       if (options_.track_window) p->window_log.push_back(weighted);
@@ -946,18 +963,18 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
       processed_.fetch_add(1, std::memory_order_relaxed);
       ++p->since_detect;
       ++p->recent_load;
-      // An urgent edge (or the buffer cap) folded the benign buffer inside
-      // ApplyEdge: publish right away so moderators hear about new
-      // fraudsters immediately. The detect_every cadence only republishes;
-      // folding a still-benign buffer here would cost a reorder that by
-      // Lemma 4.4 cannot change the community.
-      if (p->spade.PendingBenignEdges() == 0 ||
-          p->since_detect >= options_.detect_every) {
+      // An urgent edge reordered the peel state (alone while the buffer
+      // stayed benign, or folding it): publish right away so moderators
+      // hear about new fraudsters immediately. The detect_every cadence
+      // only republishes; by Lemma 4.4 a buffered edge cannot have changed
+      // the community.
+      if (changed.value() || p->since_detect >= options_.detect_every) {
         PublishLocked(*p);
         alerts = TakePendingAlertsLocked();
       }
     } else {
-      SPADE_LOG_WARNING() << "ShardWorker dropped edge: " << s.ToString();
+      SPADE_LOG_WARNING() << "ShardWorker dropped edge: "
+                          << changed.status().ToString();
     }
   }
   // Deliver with no lock held: a slow moderator delays the next apply
@@ -1028,6 +1045,7 @@ void ShardWorker::MakeExact() {
     // drain target.
     std::lock_guard<std::mutex> lock(queue_mutex_);
     exact_pos_ = dequeue_pos_;
+    fold_wanted_ = false;
   }
   drain_cv_.notify_all();
 }
@@ -1222,7 +1240,10 @@ void ShardWorker::WorkerLoop() {
       // Cheap advance: if the batch happened to end on a fresh publication
       // with nothing buffered, the snapshot is already exact and a later
       // Drain() needs no worker round-trip.
-      if (exact_after_batch) exact_pos_ = dequeue_pos_;
+      if (exact_after_batch) {
+        exact_pos_ = dequeue_pos_;
+        fold_wanted_ = false;
+      }
       // A Drain() waiter under sustained traffic: the ring may never run
       // empty, so produce exactness now rather than at the next park.
       make_exact = ExactnessWantedLocked();

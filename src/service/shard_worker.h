@@ -53,19 +53,23 @@
 // exactly the applied edges by construction. The sharded service's stitch
 // pass sums it across partitions (DESIGN.md §4.4).
 //
-// Snapshot-publication protocol (DESIGN.md §4.2): the worker publishes
-// after every urgent edge (which folds the benign buffer inside
-// Spade::ApplyEdge) and republishes at least every `detect_every` edges.
-// The cadence never folds: benign-buffered edges cannot have changed the
-// community (Lemma 4.4), so it re-reads the cached one. The buffer folds
-// only on an urgent edge, at SpadeOptions::max_benign_buffer, before a
-// window retire, and on demand for exactness: a Drain() waiter registers
-// itself and wakes the worker, which folds every buffer, republishes, and
-// advances the drain cursor — so Drain() returning implies the published
-// snapshot reflects every edge submitted before the Drain() call. Between
-// demands the benign buffer can grow to the cap; under state-dependent
-// semantics (FD) a longer buffer weighs later edges against a staler graph,
-// identically live and on chain replay (the fold points are logged).
+// Snapshot-publication protocol (DESIGN.md §4.2): the worker applies
+// through Spade::ApplyEdgeDeferred, publishes after every urgent edge (which
+// is reordered on its own while the benign buffer stays benign, and folds
+// the buffer otherwise) and republishes at least every `detect_every`
+// edges. The cadence never folds: benign-buffered edges cannot have changed
+// the community (Lemma 4.4), so it re-reads the cached one. The buffer
+// folds only when an urgent edge leaves it no longer benign, at
+// SpadeOptions::max_benign_buffer, before a window retire, and on demand
+// for exactness: a Drain() waiter registers itself and wakes the worker,
+// which folds every buffer, republishes, and advances the drain cursor —
+// so Drain() returning implies the published snapshot reflects every edge
+// submitted before the Drain() call, and every graph holds them. A chain
+// replay that ends with a buffer asks the next Drain() to fold it too.
+// Between demands the benign buffer can grow to the cap; under
+// state-dependent semantics (FD) a longer buffer weighs later edges against
+// a staler graph, identically live and on chain replay (the fold points
+// are logged).
 
 #pragma once
 
@@ -77,6 +81,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -149,9 +154,10 @@ struct DetectionServiceOptions {
   /// Republish (and possibly alert) after at most this many applied edges
   /// even if no urgent edge arrived. A cadence hit does NOT fold the benign
   /// buffer: by Lemma 4.4 buffered edges cannot change the community, so it
-  /// republishes the partition's cached one. The buffer folds on an urgent
-  /// edge, at SpadeOptions::max_benign_buffer, before a window retire, and
-  /// on every exactness demand (Drain, checkpoints, stitching, shutdown).
+  /// republishes the partition's cached one. The buffer folds when an
+  /// urgent edge leaves it no longer benign, at
+  /// SpadeOptions::max_benign_buffer, before a window retire, and on every
+  /// exactness demand (Drain, checkpoints, stitching, shutdown).
   std::size_t detect_every = 256;
   /// Bound on edges accepted but not yet taken off the handoff ring by the
   /// worker. The ring also has a bounded number of slabs
@@ -313,8 +319,9 @@ class ShardWorker {
 
   /// Blocks until every edge submitted before this call has been applied
   /// (or handed to its current owner, for partitions that moved away) AND
-  /// the published snapshot reflects the locally-applied ones. Returns
-  /// immediately once the worker has exited.
+  /// the published snapshot reflects the locally-applied ones, with every
+  /// benign buffer folded into its graph — including one a chain replay
+  /// left behind. Returns immediately once the worker has exited.
   void Drain();
 
   /// Bounded-wait Drain: returns true when the snapshot became exact (or
@@ -510,11 +517,13 @@ class ShardWorker {
                             DeltaSaveInfo* info = nullptr);
 
   /// Drains, installs the plan's base state, and replays its delta chain
-  /// through the normal ApplyEdge / Flush path — the restored detector
+  /// through the live ApplyEdgeDeferred / Flush path — the restored detector
   /// re-makes exactly the decisions the live one made (DESIGN.md §5), so
   /// the result is bit-identical to the detector that wrote the chain. The
   /// restored community is republished and becomes the alert baseline;
-  /// delta tracking stays armed for the next incremental checkpoint. Safe
+  /// delta tracking stays armed for the next incremental checkpoint. A
+  /// chain that ends with benign-buffered edges keeps them buffered, like
+  /// the live detector did; the next Drain() folds them. Safe
   /// to run concurrently with other workers' restores (each call only
   /// touches its own worker's detector mutex), which is how the sharded
   /// service parallelizes restore-side replay; two partitions on the same
@@ -618,12 +627,21 @@ class ShardWorker {
   void MakeExact();
 
   /// Worker thread, queue_mutex_ held: a Drain() waiter is registered, the
-  /// snapshot trails the popped cells, and no backlogged edge blocks
-  /// exactness — so MakeExact would advance the cursor.
+  /// snapshot trails the popped cells (or a replay left a buffer to fold),
+  /// and no backlogged edge blocks exactness — so MakeExact would advance
+  /// the cursor.
   bool ExactnessWantedLocked() const {
-    return drain_waiters_ > 0 && exact_pos_ < dequeue_pos_ &&
+    return drain_waiters_ > 0 &&
+           (exact_pos_ < dequeue_pos_ || fold_wanted_) &&
            forward_backlog_.empty();
   }
+
+  /// Drain() / DrainFor() (no timeout = wait forever). With
+  /// `fold_replayed` false the wait ignores fold_wanted_: the restore and
+  /// standby replay paths use it, so a buffer a replay left behind folds
+  /// at the first Drain after them, not between two replays.
+  bool WaitExact(std::optional<std::chrono::milliseconds> timeout,
+                 bool fold_replayed);
 
   /// Looks up the owned partition for an edge (detector mutex held):
   /// partition_of_ -> pid -> ownership table, or the one partition under
@@ -729,6 +747,11 @@ class ShardWorker {
   /// reflected in the published snapshot; Drain() waits for it to pass
   /// the claim cursor it read.
   std::uint64_t exact_pos_ = 0;
+  /// A chain replay left benign-buffered edges: the next Drain() folds
+  /// them although the cursor is exact. Set inside detector_mutex_ (the
+  /// one place queue_mutex_ nests in it; nothing takes them the other way
+  /// round).
+  bool fold_wanted_ = false;
 
   // --- partitions, touched only by the worker thread (or by Save/Restore/
   // Detach while the worker is parked in its queue wait; detector_mutex_

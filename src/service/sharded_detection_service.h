@@ -523,12 +523,13 @@ class ShardedDetectionService {
   /// only then installed, so a failed restore never leaves a partial
   /// graph. A torn chain tail (crash during the last delta save) recovers
   /// to the last epoch whose files are all intact; a torn base or manifest
-  /// fails cleanly. Delta chains replay through the normal ApplyEdge path,
-  /// so restored detectors are bit-identical to the ones that wrote the
-  /// chain. Delta chains replay in parallel, one thread per shard by
-  /// default (each chain replays only into its own detector, so the result
-  /// is bit-identical to a serial restore; `restore_threads` caps or
-  /// serializes the pool). Detectors keep their installed semantics.
+  /// fails cleanly. Delta chains replay through the live apply path
+  /// (ApplyEdgeDeferred), so restored detectors are bit-identical to the
+  /// ones that wrote the chain. Delta chains replay in parallel, one
+  /// thread per shard by default (each chain replays only into its own
+  /// detector, so the result is bit-identical to a serial restore;
+  /// `restore_threads` caps or serializes the pool). Detectors keep their
+  /// installed semantics.
   /// Boundary weights are rebuilt from the restored graphs, and the
   /// stitched snapshot *and* the stitch counters are reset — stats()
   /// afterwards describes the restored run, not the one that wrote the

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -662,6 +664,99 @@ TEST_F(RecoveryTest, WindowedFullBaseRestoresWindowLog) {
   for (std::size_t s = 0; s < kShards; ++s) {
     testing::ExpectShardEqualsCapture(live[s], replayed[s]);
     ExpectWindowsEqual(service->ShardWindow(s), victim->ShardWindow(s));
+  }
+}
+
+/// Waits until `service` has applied `edges` edges in all, without a
+/// Drain (which would fold the benign buffers).
+void AwaitApplied(const ShardedDetectionService& service,
+                  std::uint64_t edges) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.EdgesProcessed() < edges &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.EdgesProcessed(), edges);
+}
+
+// The service reorders an urgent edge alone when the benign buffer stays
+// benign (Spade::ApplyEdgeDeferred). A chain that records such a deferral
+// and ends with the buffer still full — the final flush marker stripped,
+// as when new applies race a save's drain — restores bit-identical to the
+// live fleet before that save, benign buffer included; the restored
+// fleet's first Drain then folds where the live save's drain folded.
+TEST_F(RecoveryTest, DeferredUrgentEdgesRestoreBitIdentical) {
+  Rng rng(1212);
+  const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
+  auto service = BuildService(initial);
+  ASSERT_TRUE(service->SaveState(dir_).ok());
+  ASSERT_TRUE(service->SubmitBatch(RandomChunk(&rng, kChunkEdges)).ok());
+  service->Drain();
+  std::uint64_t applied = service->EdgesProcessed();
+
+  // One benign edge per shard goes to the buffer ...
+  const std::vector<Edge> planted = BenignEdgePerShard(*service);
+  ASSERT_TRUE(service->SubmitBatch(planted).ok());
+  applied += planted.size();
+  AwaitApplied(*service, applied);
+  // ... then one urgent edge per shard between two members of its
+  // community, away from the buffered vertices.
+  std::vector<Edge> urgent;
+  std::vector<std::size_t> graph_edges(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    service->InspectShard(s, [&](const Spade& spade) {
+      EXPECT_EQ(spade.PendingBenignEdges(), 1u);
+      graph_edges[s] = spade.graph().NumEdges();
+      const std::vector<VertexId> members =
+          spade.peel_state().DetectCommunity().members;
+      for (VertexId u : members) {
+        if (u % kShards != s || u == planted[s].src || u == planted[s].dst) {
+          continue;
+        }
+        for (VertexId v : members) {
+          const Edge e{u, v, 1.0, 0};
+          if (v != u && v != planted[s].src && v != planted[s].dst &&
+              !spade.IsBenign(e)) {
+            urgent.push_back(e);
+            return;
+          }
+        }
+      }
+    });
+  }
+  ASSERT_EQ(urgent.size(), kShards);
+  ASSERT_TRUE(service->SubmitBatch(urgent).ok());
+  applied += urgent.size();
+  AwaitApplied(*service, applied);
+  const auto live = CaptureShards(*service);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    // The deferral happened: the urgent edge is in the graph and the
+    // benign edge is still buffered.
+    EXPECT_EQ(live[s].num_edges, graph_edges[s] + 1) << "shard " << s;
+    EXPECT_EQ(live[s].pending_benign, 1u) << "shard " << s;
+  }
+
+  ShardedDetectionService::SaveInfo info;
+  ASSERT_TRUE(service
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kDelta,
+                              &info)
+                  .ok());
+  ASSERT_EQ(info.epoch, 2u);
+  const auto saved = CaptureShards(*service);
+  testing::StripFinalFlushMarkers(dir_, kShards, 2);
+
+  auto victim = BuildService(initial);
+  ASSERT_TRUE(victim->RestoreState(dir_).ok());
+  const auto restored = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    testing::ExpectShardEqualsCapture(live[s], restored[s]);
+  }
+  victim->Drain();
+  const auto folded = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(saved[s].pending_benign, 0u);
+    testing::ExpectShardEqualsCapture(saved[s], folded[s]);
   }
 }
 

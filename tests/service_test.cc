@@ -394,6 +394,72 @@ TEST(SingleNodeServiceTest, BenignBufferCapBoundsPendingEdges) {
   EXPECT_DOUBLE_EQ(published.density, 45 * 100.0 / kClique);
 }
 
+// An urgent edge that arrives over a still-benign buffer is reordered on
+// its own: the shard publishes (and alerts) right away, before any Drain,
+// and the buffer stays buffered until the Drain folds it.
+TEST(SingleNodeServiceTest, UrgentEdgeOverBufferAlertsBeforeDrain) {
+  constexpr VertexId kClique = 10;
+  constexpr VertexId kVertices = 1010;
+  constexpr std::size_t kBenign = 40;
+  std::vector<Edge> initial;
+  for (VertexId u = 0; u < kClique; ++u) {
+    for (VertexId v = u + 1; v < kClique; ++v) {
+      initial.push_back({u, v, 100.0, 0});
+    }
+  }
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  ASSERT_TRUE(spade.BuildGraph(kVertices, initial).ok());
+  std::atomic<int> alerts{0};
+  std::atomic<double> alerted_density{0.0};
+  ShardedDetectionService service(
+      testing::OneShard(std::move(spade)),
+      [&](std::size_t /*shard*/, const Community& c) {
+        alerted_density = c.density;
+        ++alerts;
+      });
+  EXPECT_DOUBLE_EQ(service.CurrentCommunity().density, 450.0);
+
+  // Light background edges: all benign against the clique's 450.
+  Rng rng(41);
+  for (std::size_t i = 0; i < kBenign; ++i) {
+    const auto u = static_cast<VertexId>(
+        kClique + rng.NextBounded(kVertices - kClique));
+    auto v = static_cast<VertexId>(
+        kClique + rng.NextBounded(kVertices - kClique));
+    while (v == u) {
+      v = static_cast<VertexId>(
+          kClique + rng.NextBounded(kVertices - kClique));
+    }
+    ASSERT_TRUE(service.Submit({u, v, 1.0, 0}).ok());
+  }
+  // A heavier clique edge raises the density to (4500 + 500) / 10.
+  ASSERT_TRUE(service.Submit({0, 1, 500.0, 0}).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((service.EdgesProcessed() < kBenign + 1 || alerts.load() == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.EdgesProcessed(), kBenign + 1);
+  ASSERT_EQ(alerts.load(), 1);
+  EXPECT_DOUBLE_EQ(alerted_density.load(), 500.0);
+  EXPECT_DOUBLE_EQ(service.CurrentCommunity().density, 500.0);
+  service.InspectShard(0, [&](const Spade& s) {
+    EXPECT_EQ(s.PendingBenignEdges(), kBenign);
+  });
+
+  service.Drain();
+  service.InspectShard(0, [&](const Spade& s) {
+    EXPECT_EQ(s.PendingBenignEdges(), 0u);
+    EXPECT_EQ(s.graph().NumEdges(), initial.size() + kBenign + 1);
+  });
+  const Community published = service.CurrentCommunity();
+  EXPECT_EQ(published.members.size(), kClique);
+  EXPECT_DOUBLE_EQ(published.density, 500.0);
+  EXPECT_EQ(alerts.load(), 1);
+}
+
 // The satellite concurrency stress: multiple producers while readers poll
 // CurrentCommunity() and the counters. Run under TSan in CI, this also
 // proves the read path touches no apply-path lock (a reader blocked behind

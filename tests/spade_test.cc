@@ -327,6 +327,168 @@ TEST(EdgeGroupingTest, UnfoldedCadenceReadMatchesFoldedDetect) {
   EXPECT_GT(buffered_points, 50u);
 }
 
+// --- Deferred urgent edges (the service's apply path) ---
+
+/// The community of a from-scratch peel of everything `spade` accepted:
+/// its graph plus its benign buffer.
+Community StaticCommunityWithBuffer(const Spade& spade) {
+  DynamicGraph g = spade.graph();
+  for (const Edge& e : spade.benign_buffer()) {
+    EXPECT_TRUE(g.AddEdge(e.src, e.dst, e.weight).ok());
+  }
+  return PeelStatic(g).DetectCommunity();
+}
+
+/// Counts of one deferred-apply run.
+struct DeferredRun {
+  std::size_t reads = 0;           // edges that changed the peel state
+  std::size_t buffered_reads = 0;  // ... with the buffer still non-empty
+};
+
+/// Streams `stream` into `spade` through ApplyEdgeDeferred. At every edge
+/// that changed the peel state, the unfolded community must be the one a
+/// static peel finds on graph + buffer (Lemma 4.4 under the deferral's
+/// invariant). Ends with a Detect that must match PeelStatic: tie for tie
+/// under integer weights; under continuous ones the incremental and static
+/// paths sum degrees in different orders, so ulp-tied vertices may swap
+/// and the sequence is validated as canonical without the tie-break.
+DeferredRun CheckDeferredStream(Spade* spade, const std::vector<Edge>& stream,
+                                bool integer_weights,
+                                const std::string& label) {
+  DeferredRun run;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Result<bool> changed = spade->ApplyEdgeDeferred(stream[i]);
+    EXPECT_TRUE(changed.ok()) << label << " edge " << i;
+    if (!changed.ok() || !changed.value()) continue;
+    ++run.reads;
+    if (spade->PendingBenignEdges() > 0) ++run.buffered_reads;
+    const Community want = StaticCommunityWithBuffer(*spade);
+    const Community got = spade->peel_state().DetectCommunity();
+    std::vector<VertexId> wm = want.members;
+    std::vector<VertexId> gm = got.members;
+    std::sort(wm.begin(), wm.end());
+    std::sort(gm.begin(), gm.end());
+    EXPECT_EQ(wm, gm) << label << " edge " << i;
+    EXPECT_NEAR(got.density, want.density,
+                1e-9 * std::max(1.0, std::abs(want.density)))
+        << label << " edge " << i;
+    if (wm != gm) break;  // one divergence says it all
+  }
+  spade->Detect();
+  EXPECT_EQ(spade->PendingBenignEdges(), 0u);
+  SCOPED_TRACE(label);
+  const PeelState reference = PeelStatic(spade->graph());
+  if (integer_weights) {
+    testing::ExpectStateEquals(reference, spade->peel_state());
+  } else {
+    testing::ValidateCanonicalSequence(spade->graph(), spade->peel_state(),
+                                       1e-9, /*check_tie_break=*/false);
+  }
+  EXPECT_NEAR(reference.BestDensity(), spade->peel_state().BestDensity(),
+              1e-9 * std::max(1.0, reference.BestDensity()));
+  return run;
+}
+
+TEST(DeferredGroupingTest, UrgentReadsMatchStaticPeel) {
+  DeferredRun total;
+  for (const char* semantics : {"DG", "DW"}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Workload w = BuildWorkload("Grab1", 0.0003, seed);
+      Spade spade;
+      spade.SetSemantics(MakeSemanticsByName(semantics));
+      spade.TurnOnEdgeGrouping();
+      ASSERT_TRUE(spade.BuildGraph(w.num_vertices, w.initial).ok());
+      const std::string name = semantics;
+      const DeferredRun run =
+          CheckDeferredStream(&spade, w.stream.edges,
+                              /*integer_weights=*/name == "DG",
+                              name + " seed " + std::to_string(seed));
+      total.reads += run.reads;
+      total.buffered_reads += run.buffered_reads;
+    }
+  }
+  // Urgent edges must have been reordered over live buffers, not only
+  // into empty ones.
+  EXPECT_GT(total.reads, 1000u);
+  EXPECT_GT(total.buffered_reads, 1000u);
+}
+
+// A heavy legitimate clique (a "whale") far above everything else: edges
+// touching its members are urgent, the background is benign, so almost
+// every urgent edge arrives over a long buffer.
+TEST(DeferredGroupingTest, UrgentReadsMatchStaticPeelAroundWhale) {
+  constexpr std::size_t kVertices = 600;
+  constexpr VertexId kWhale = 8;  // members 0..7
+  Rng rng(4242);
+  std::vector<Edge> initial;
+  for (VertexId a = 0; a < kWhale; ++a) {
+    for (VertexId b = a + 1; b < kWhale; ++b) {
+      initial.push_back({a, b, 40.0 + 20.0 * rng.NextDouble(), 0});
+    }
+  }
+  const auto background = [&rng] {
+    const auto s = static_cast<VertexId>(
+        kWhale + rng.NextBounded(kVertices - kWhale));
+    auto d = static_cast<VertexId>(
+        kWhale + rng.NextBounded(kVertices - kWhale));
+    while (d == s) {
+      d = static_cast<VertexId>(kWhale + rng.NextBounded(kVertices - kWhale));
+    }
+    return Edge{s, d, 0.5 + 4.0 * rng.NextDouble(), 0};
+  };
+  for (int i = 0; i < 1500; ++i) initial.push_back(background());
+  std::vector<Edge> stream;
+  for (int i = 0; i < 3000; ++i) {
+    if (i % 25 == 0) {
+      // A whale member pays (or is paid by) a background account.
+      Edge e = background();
+      e.src = static_cast<VertexId>(rng.NextBounded(kWhale));
+      if (i % 50 == 0) std::swap(e.src, e.dst);
+      stream.push_back(e);
+    } else {
+      stream.push_back(background());
+    }
+  }
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  spade.TurnOnEdgeGrouping();
+  ASSERT_TRUE(spade.BuildGraph(kVertices, initial).ok());
+  const DeferredRun run = CheckDeferredStream(&spade, stream, /*integer_weights=*/false, "whale");
+  EXPECT_GT(run.reads, 100u);
+  EXPECT_GT(run.buffered_reads, 100u);
+}
+
+// The deferral's two outcomes on one small graph: an urgent edge away
+// from the buffered vertices keeps the buffer; an urgent edge that lifts
+// a vertex with buffered mass to the threshold folds it.
+TEST(DeferredGroupingTest, UrgentEdgeKeepsOrFoldsBuffer) {
+  Spade spade;
+  spade.SetSemantics(MakeDW());
+  spade.TurnOnEdgeGrouping();
+  ASSERT_TRUE(spade.BuildGraph(7, DenseRingLog()).ok());
+  // g(S_P) = 10. Vertex 3 (weighted degree 1) gets 0.5 of buffered mass.
+  Result<bool> changed = spade.ApplyEdgeDeferred({3, 6, 0.5, 20});
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(changed.value());
+  ASSERT_EQ(spade.PendingBenignEdges(), 1u);
+
+  // Urgent (ring member 0 is at the threshold), but neither endpoint has
+  // pending mass: reordered alone, the buffer stays.
+  changed = spade.ApplyEdgeDeferred({5, 0, 2.0, 21});
+  ASSERT_TRUE(changed.ok());
+  EXPECT_TRUE(changed.value());
+  EXPECT_EQ(spade.PendingBenignEdges(), 1u);
+  EXPECT_EQ(spade.graph().NumEdges(), 7u);
+
+  // Urgent, and it lifts vertex 3 to 1 + 9 + 0.5 >= 10: the buffer folds.
+  changed = spade.ApplyEdgeDeferred({3, 0, 9.0, 22});
+  ASSERT_TRUE(changed.ok());
+  EXPECT_TRUE(changed.value());
+  EXPECT_EQ(spade.PendingBenignEdges(), 0u);
+  EXPECT_EQ(spade.graph().NumEdges(), 9u);
+  testing::ExpectStateEquals(PeelStatic(spade.graph()), spade.peel_state());
+}
+
 TEST(SpadeTest, CumulativeStatsAccumulate) {
   Spade spade;
   spade.SetSemantics(MakeDG());

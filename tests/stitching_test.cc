@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -38,7 +39,6 @@
 #include "metrics/density.h"
 #include "metrics/semantics.h"
 #include "service/sharded_detection_service.h"
-#include "storage/delta_segment.h"
 #include "tests/test_util.h"
 
 namespace spade {
@@ -672,6 +672,20 @@ TEST(MessageDrivenStitchingTest, RetiredSeamIsNotServedStale) {
   EXPECT_GE(service.GetStats().retired_edges, 60u);
 }
 
+/// Benign-buffered edges across every partition of `fleet`.
+std::size_t PendingBenignEdges(const ShardedDetectionService& fleet) {
+  std::size_t buffered = 0;
+  for (std::size_t pid = 0; pid < fleet.num_partitions(); ++pid) {
+    EXPECT_TRUE(fleet
+                    .InspectPartition(pid,
+                                      [&](const Spade& spade) {
+                                        buffered += spade.PendingBenignEdges();
+                                      })
+                    .ok());
+  }
+  return buffered;
+}
+
 // Boundary weights are derived state: a fleet restored from a base + delta
 // chain, and a standby that replays the last epoch onto the base, both
 // rebuild them from their graphs — equal to the live fleet's, so the seam
@@ -754,37 +768,86 @@ TEST(MessageDrivenStitchingTest, RestoredBoundaryWeightsEqualLive) {
   }
   {
     SCOPED_TRACE("a chain whose last segments end before their flush");
-    // Without its final flush marker, a segment's trailing benign edges
-    // replay into the benign buffer instead of the graph.
-    for (std::size_t pid = 0; pid < kShards; ++pid) {
-      const std::string path =
-          (std::filesystem::path(dir) / ShardDeltaFileName(pid, 2)).string();
-      DeltaSegment segment;
-      ASSERT_TRUE(ReadDeltaSegment(path, &segment).ok());
-      if (!segment.records.empty() && segment.records.back().flush) {
-        segment.records.pop_back();
-      }
-      ASSERT_TRUE(WriteDeltaSegment(path, segment).ok());
-    }
+    testing::StripFinalFlushMarkers(dir, kShards, 2);
     ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
                                      options);
     ASSERT_TRUE(restored.RestoreState(dir).ok());
-    std::size_t buffered = 0;
-    for (std::size_t pid = 0; pid < kShards; ++pid) {
-      ASSERT_TRUE(restored
-                      .InspectPartition(pid,
-                                        [&](const Spade& spade) {
-                                          buffered +=
-                                              spade.PendingBenignEdges();
-                                        })
-                      .ok());
-    }
-    ASSERT_GT(buffered, 0u);
+    ASSERT_GT(PendingBenignEdges(restored), 0u);
     expect_weights_equal_live(&restored);
   }
   live.Stop();
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(base_dir);
+}
+
+// A restored partition whose chain ends with benign-buffered edges folds
+// them at the next Drain, so the stitch pass after a restore gathers them.
+// The cross-shard community {hA, hB, l1, l2} is densest only merged
+// (13.0625 against each shard's own 9.25), and its last edge l1 -> l2 is
+// benign in shard 0 (each endpoint is at 7 + 0.25 there): a stitch pass
+// that gathered graphs without it would report 13.
+TEST(MessageDrivenStitchingTest, RestoredStitchFoldsReplayedBenignTail) {
+  constexpr std::size_t kShards = 2;
+  const std::size_t n = kShards * kVerticesPerTenant;
+
+  // Epoch 1: one star per tenant (nine leaves at 11), local to its shard.
+  std::vector<Edge> stars;
+  for (VertexId base : {VertexId{0}, kVerticesPerTenant}) {
+    for (VertexId leaf = 1; leaf <= 9; ++leaf) {
+      stars.push_back(Edge{base, base + leaf, 11.0, 0});
+    }
+  }
+  // Epoch 2: the cross-shard community, every edge but the last urgent.
+  const VertexId ha = 10;
+  const VertexId l1 = 11;
+  const VertexId hb = kVerticesPerTenant + 10;
+  const VertexId l2 = kVerticesPerTenant + 11;
+  const std::vector<Edge> cross = {
+      {ha, hb, 12.0, 0}, {hb, ha, 12.0, 0}, {l1, ha, 7.0, 0},
+      {hb, l1, 7.0, 0},  {l2, hb, 7.0, 0},  {ha, l2, 7.0, 0},
+      {l1, l2, 0.25, 0}};
+
+  // One worker per partition, and both partitions on one worker: there
+  // the second partition's restore must not fold the first one's buffer.
+  for (std::size_t per_worker : {1, 2}) {
+    SCOPED_TRACE("partitions per worker: " + std::to_string(per_worker));
+    ShardedDetectionServiceOptions options;
+    options.partitioner = TenantPartitioner(kVerticesPerTenant);
+    options.rebalance.partitions_per_shard = per_worker;
+    ShardedDetectionService live(BuildEmptyShards(kShards, n), nullptr,
+                                 options);
+    const std::string dir = ::testing::TempDir() + "/restored_benign_tail";
+    std::filesystem::remove_all(dir);
+    SubmitAll(&live, stars);
+    live.Drain();
+    ASSERT_TRUE(live.SaveState(dir).ok());
+    SubmitAll(&live, cross);
+    live.Drain();
+    ShardedDetectionService::SaveInfo info;
+    ASSERT_TRUE(live.SaveState(dir,
+                               ShardedDetectionService::SaveMode::kDelta,
+                               &info)
+                    .ok());
+    ASSERT_EQ(info.epoch, 2u);
+    const GlobalCommunity stitched = live.StitchNow();
+    ASSERT_TRUE(stitched.stitched);
+    ASSERT_NEAR(stitched.density, 52.25 / 4, 1e-9);
+    EXPECT_EQ(Sorted(stitched.members),
+              (std::vector<VertexId>{ha, l1, hb, l2}));
+
+    testing::StripFinalFlushMarkers(dir, kShards, 2);
+    ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
+                                     options);
+    ASSERT_TRUE(restored.RestoreState(dir).ok());
+    ASSERT_EQ(PendingBenignEdges(restored), 1u);  // l1 -> l2
+    const GlobalCommunity restitched = restored.StitchNow();
+    EXPECT_EQ(PendingBenignEdges(restored), 0u);
+    EXPECT_TRUE(restitched.stitched);
+    EXPECT_NEAR(restitched.density, stitched.density, 1e-9);
+    EXPECT_EQ(Sorted(restitched.members), Sorted(stitched.members));
+    live.Stop();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

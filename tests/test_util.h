@@ -1,7 +1,8 @@
 // Shared helpers for the Spade test suites: random graph construction with
 // exactly-representable weights, reference validators for peeling
-// sequences, the shard list of a single-node service, and an audit of a
-// fleet's boundary weights against its graphs.
+// sequences, the shard list of a single-node service, an audit of a
+// fleet's boundary weights against its graphs, and a checkpoint edit that
+// leaves a restore with benign-buffered edges.
 
 #pragma once
 
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,6 +24,8 @@
 #include "peel/indexed_heap.h"
 #include "peel/peel_state.h"
 #include "service/sharded_detection_service.h"
+#include "storage/delta_segment.h"
+#include "storage/sharded_snapshot.h"
 
 namespace spade::testing {
 
@@ -104,6 +109,26 @@ inline void ExpectBoundaryWeightsMatchGraphs(ShardedDetectionService* service,
     ASSERT_NE(it, actual.end()) << "vertex " << v << " has no weight";
     EXPECT_NEAR(it->second, w, 1e-6 * std::max(1.0, std::abs(w)))
         << "vertex " << v;
+  }
+}
+
+/// Drops the trailing flush marker of every partition's epoch-`epoch`
+/// segment in `dir`. Without it, a segment's trailing benign edges replay
+/// into the benign buffer instead of the graph — the state a save leaves
+/// when new applies race its drain.
+inline void StripFinalFlushMarkers(const std::string& dir,
+                                   std::size_t partitions,
+                                   std::uint64_t epoch) {
+  for (std::size_t pid = 0; pid < partitions; ++pid) {
+    const std::string path =
+        (std::filesystem::path(dir) / ShardDeltaFileName(pid, epoch))
+            .string();
+    DeltaSegment segment;
+    ASSERT_TRUE(ReadDeltaSegment(path, &segment).ok());
+    if (!segment.records.empty() && segment.records.back().flush) {
+      segment.records.pop_back();
+    }
+    ASSERT_TRUE(WriteDeltaSegment(path, segment).ok());
   }
 }
 
