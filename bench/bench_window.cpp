@@ -73,8 +73,10 @@ std::size_t ResidentEdges(const ShardedDetectionService& service,
   *graph_edges = 0;
   *window_edges = 0;
   for (std::size_t s = 0; s < service.num_shards(); ++s) {
+    // A drained shard keeps its benign buffer; those edges are resident
+    // too.
     service.InspectShard(s, [&](const Spade& spade) {
-      *graph_edges += spade.graph().NumEdges();
+      *graph_edges += spade.graph().NumEdges() + spade.PendingBenignEdges();
     });
     *window_edges += service.ShardWindow(s).size();
   }

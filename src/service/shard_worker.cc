@@ -408,27 +408,25 @@ Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
 // ---------------------------------------------------------------------------
 // Drain / Stop.
 
-void ShardWorker::Drain() { WaitExact(std::nullopt, /*fold_replayed=*/true); }
+void ShardWorker::Drain() { WaitExact(std::nullopt); }
 
 bool ShardWorker::DrainFor(std::chrono::milliseconds timeout) {
-  return WaitExact(timeout, /*fold_replayed=*/true);
+  return WaitExact(timeout);
 }
 
-bool ShardWorker::WaitExact(std::optional<std::chrono::milliseconds> timeout,
-                            bool fold_replayed) {
+bool ShardWorker::WaitExact(std::optional<std::chrono::milliseconds> timeout) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
   // Every chunk whose Submit returned before this call holds a ring cell
   // below the claim cursor; a cell claimed but not yet published belongs
   // to a concurrent Submit, whose producer publishes it momentarily.
   const std::uint64_t target = enqueue_pos_.load(std::memory_order_seq_cst);
-  const auto done = [this, target, fold_replayed] {
-    return (exact_pos_ >= target && !(fold_replayed && fold_wanted_)) ||
-           worker_exited_;
+  const auto done = [this, target] {
+    return exact_pos_ >= target || worker_exited_;
   };
   if (done()) return true;
-  // The worker folds the benign buffers and republishes only while a
-  // drain waiter is registered (exactness on demand keeps edge-grouping
-  // amortization intact between drains), so wake it up.
+  // The worker republishes partitions with unpublished applies only while
+  // a drain waiter is registered (between drains it publishes on urgent
+  // edges and the detect_every cadence), so wake it up.
   ++drain_waiters_;
   work_cv_.notify_one();
   bool reached = true;
@@ -483,6 +481,15 @@ void ShardWorker::ResetHighWater() {
   queue_hwm_total_.store(0, std::memory_order_relaxed);
 }
 
+void ShardWorker::AddBusySince(std::chrono::steady_clock::time_point begin) {
+  busy_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - begin)
+              .count()),
+      std::memory_order_relaxed);
+}
+
 double ShardWorker::BusyFraction() const {
   const double wall_ns = std::chrono::duration<double, std::nano>(
                              std::chrono::steady_clock::now() - start_)
@@ -500,6 +507,16 @@ std::vector<std::size_t> ShardWorker::OwnedPartitions() const {
   for (const auto& p : parts_) pids.push_back(p->pid);
   std::sort(pids.begin(), pids.end());
   return pids;
+}
+
+ShardWorker::Occupancy ShardWorker::GetOccupancy() const {
+  std::lock_guard<std::mutex> lock(detector_mutex_);
+  Occupancy occupancy;
+  occupancy.partitions = parts_.size();
+  for (const auto& p : parts_) {
+    occupancy.pending_benign += p->spade.PendingBenignEdges();
+  }
+  return occupancy;
 }
 
 std::vector<std::pair<std::size_t, std::uint64_t>>
@@ -590,6 +607,13 @@ void ShardWorker::CollectInduced(std::span<const VertexId> vertices,
         }
       }
     }
+    // Buffered edges are applied too; only their peel-state reorder is
+    // deferred (the boundary rebuild reads them the same way).
+    for (const Edge& e : p->spade.benign_buffer()) {
+      if (contains(e.src) && contains(e.dst)) {
+        edges->push_back(Edge{e.src, e.dst, e.weight, 0});
+      }
+    }
   }
 }
 
@@ -654,10 +678,14 @@ Status ShardWorker::SavePartition(std::size_t pid, const std::string& path,
         "ShardWorker::SavePartition: partition not owned by this worker");
   }
   // A full save is a checkpoint: whatever history the log held is now
-  // covered by the base snapshot. Replay of a later chain starts from the
-  // flushed state written here, which is why no marker needs to survive
-  // the reset. The window log rides in the snapshot's window section.
-  SPADE_RETURN_NOT_OK(p->spade.Flush());
+  // covered by the base snapshot, which holds no benign buffer — so the
+  // fold happens here, and a later chain replays from the folded state
+  // written here. The window log rides in the snapshot's window section.
+  if (p->spade.PendingBenignEdges() > 0) {
+    SPADE_RETURN_NOT_OK(p->spade.Flush());
+    // Publish what a restore of this base reads.
+    RebaselineLocked(*p);
+  }
   const std::vector<Edge> window(p->window_log.begin(), p->window_log.end());
   SPADE_RETURN_NOT_OK(
       SaveSnapshot(path, p->spade.graph(), &p->spade.peel_state(), window));
@@ -708,7 +736,6 @@ Status ShardWorker::SavePartitionDelta(std::size_t pid,
   if (info != nullptr) {
     info->bytes = bytes;
     info->records = segment.records.size();
-    info->edges = segment.NumEdges();
   }
   return Status::OK();
 }
@@ -735,9 +762,7 @@ Status ShardWorker::ReplayChainLocked(Partition& p,
   // it still surfaces as a Status, not a partial silent state.
   for (const DeltaSegment& segment : segments) {
     for (const DeltaRecord& record : segment.records) {
-      if (record.flush) {
-        SPADE_RETURN_NOT_OK(p.spade.Flush());
-      } else if (record.retire) {
+      if (record.retire) {
         SPADE_RETURN_NOT_OK(ReplayRetireLocked(p, record.edge));
       } else {
         double applied = 0;
@@ -758,35 +783,16 @@ Status ShardWorker::ReplayChainLocked(Partition& p,
   p.delta_log.clear();
   p.delta_overflow = false;
   p.delta_tracking = true;
-  // Re-baseline the alert filter on the restored community and cache it so
-  // readers switch over atomically. The non-flushing read preserves the
-  // replayed benign buffer, so the restored detector keeps matching the
-  // live one (Lemma 4.4: buffered edges cannot have improved the
-  // community, so the baseline is the same either way).
-  Community restored = p.spade.peel_state().DetectCommunity();
-  p.last_reported = SortedMembers(restored);
-  p.last_density = restored.density;
-  p.since_detect = 0;
-  p.current = std::make_shared<const Community>(std::move(restored));
-  PublishArgmaxLocked();
+  // The replayed benign buffer stays buffered, so the restored detector
+  // keeps matching the live one.
+  RebaselineLocked(p);
   RebuildBoundaryLocked(p);
-  // A replay that ends with buffered edges leaves them out of the graphs
-  // a stitch pass gathers: have the next Drain fold them (with a flush
-  // marker, like any MakeExact fold) although no ring cell is pending.
-  const bool buffered =
-      std::any_of(parts_.begin(), parts_.end(), [](const auto& q) {
-        return q->spade.PendingBenignEdges() > 0;
-      });
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  fold_wanted_ = buffered;
   return Status::OK();
 }
 
 Status ShardWorker::RestorePartitionChain(std::size_t pid,
                                           RestorePlan&& plan) {
-  // Leaves the buffers of partitions restored before this one alone: they
-  // must match the live history until the restore is complete.
-  WaitExact(std::nullopt, /*fold_replayed=*/false);
+  Drain();
   std::lock_guard<std::mutex> lock(detector_mutex_);
   Partition* p = FindPartitionLocked(pid);
   if (p == nullptr) {
@@ -803,10 +809,7 @@ Status ShardWorker::RestorePartitionChain(std::size_t pid,
 Status ShardWorker::ReplayPartitionSegment(
     std::size_t pid, const DeltaSegment& segment,
     std::chrono::milliseconds drain_timeout) {
-  // A standby replays its owner's segments back to back and folds only
-  // where the owner did, so this wait leaves a buffer the previous segment
-  // replayed into alone.
-  if (!WaitExact(drain_timeout, /*fold_replayed=*/false)) {
+  if (!DrainFor(drain_timeout)) {
     return Status::FailedPrecondition(
         "ReplayPartitionSegment: shard queue did not drain within " +
         std::to_string(drain_timeout.count()) + "ms");
@@ -909,18 +912,6 @@ void ShardWorker::PublishArgmaxLocked() {
 #endif
 }
 
-void ShardWorker::FoldAndPublish(Partition& p) {
-  // Caller holds detector_mutex_.
-  if (p.spade.PendingBenignEdges() > 0) {
-    // The fold below changes the graph, and state-dependent semantics weigh
-    // later edges against it: the replayed history must flush at exactly
-    // this point to stay bit-identical.
-    AppendDeltaRecord(p, DeltaRecord::Flush());
-    SPADE_CHECK(p.spade.Flush().ok());
-  }
-  PublishLocked(p);
-}
-
 void ShardWorker::PublishLocked(Partition& p) {
   // Caller holds detector_mutex_. Benign-buffered edges stay buffered: by
   // Lemma 4.4 they cannot have changed the community the peel state holds.
@@ -928,8 +919,11 @@ void ShardWorker::PublishLocked(Partition& p) {
   p.since_detect = 0;
   detections_.fetch_add(1, std::memory_order_relaxed);
   std::vector<VertexId> sorted = SortedMembers(community);
-  const bool changed =
-      sorted != p.last_reported || community.density != p.last_density;
+  const bool changed = sorted != p.last_reported ||
+                       !SameDensity(community.density, p.last_density);
+  if (!changed && community.density != p.last_density) {
+    alerts_suppressed_.fetch_add(1, std::memory_order_relaxed);
+  }
   p.current = std::make_shared<const Community>(std::move(community));
   PublishArgmaxLocked();
   if (!changed) return;
@@ -939,6 +933,16 @@ void ShardWorker::PublishLocked(Partition& p) {
   if (on_alert_) {
     pending_alerts_.push_back(p.current);
   }
+}
+
+void ShardWorker::RebaselineLocked(Partition& p) {
+  // Caller holds detector_mutex_.
+  Community community = p.spade.peel_state().DetectCommunity();
+  p.last_reported = SortedMembers(community);
+  p.last_density = community.density;
+  p.since_detect = 0;
+  p.current = std::make_shared<const Community>(std::move(community));
+  PublishArgmaxLocked();
 }
 
 bool ShardWorker::ApplyOne(const Edge& edge) {
@@ -1025,27 +1029,28 @@ void ShardWorker::FlushForwardBacklog() {
 }
 
 void ShardWorker::MakeExact() {
+  const auto work_begin = std::chrono::steady_clock::now();
   std::vector<std::shared_ptr<const Community>> alerts;
   {
     std::lock_guard<std::mutex> apply_lock(detector_mutex_);
+    // Benign buffers stay: their edges are applied, and by Lemma 4.4 the
+    // published community is already that of graph + buffer.
     for (auto& p : parts_) {
-      if (p->since_detect > 0 || p->spade.PendingBenignEdges() > 0) {
-        FoldAndPublish(*p);
-      }
+      if (p->since_detect > 0) PublishLocked(*p);
     }
     alerts = TakePendingAlertsLocked();
   }
   for (const auto& a : alerts) on_alert_(*a);
+  AddBusySince(work_begin);
   // A backlogged edge has not been applied anywhere yet: the snapshot
   // cannot be exact until the owner accepts it (the timed park retries).
   if (!forward_backlog_.empty()) return;
   {
-    // Every popped cell is applied (or forwarded) and now folded in; cells
+    // Every popped cell is applied (or forwarded) and now published; cells
     // still in the ring were published after the pop and belong to a later
     // drain target.
     std::lock_guard<std::mutex> lock(queue_mutex_);
     exact_pos_ = dequeue_pos_;
-    fold_wanted_ = false;
   }
   drain_cv_.notify_all();
 }
@@ -1123,8 +1128,8 @@ void ShardWorker::WorkerLoop() {
             inflight_claim = true;
           }
         } else {
-          // A Drain() waiter needs the snapshot brought up to date (flush
-          // buffered benign edges, republish); no new edges to apply.
+          // A Drain() waiter needs the snapshot brought up to date
+          // (republish); no new edges to apply.
           make_exact = ExactnessWantedLocked();
         }
       }
@@ -1202,8 +1207,8 @@ void ShardWorker::WorkerLoop() {
             retired_now += part_retired;
             // Deletion can shrink the community or its density —
             // republish (and alert) right away rather than waiting out
-            // detect_every.
-            FoldAndPublish(*p);
+            // detect_every. RetireEdge flushed the buffer inside Spade.
+            PublishLocked(*p);
           }
         }
         if (retired_now > 0) {
@@ -1215,35 +1220,25 @@ void ShardWorker::WorkerLoop() {
       if (retired_now > 0 && on_retire_) on_retire_(retired_now);
     }
 
-    busy_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - work_begin)
-                .count()),
-        std::memory_order_relaxed);
+    AddBusySince(work_begin);
 
-    // Round-end exactness: every partition published with nothing
-    // buffered, and no backlogged edge awaiting its owner.
+    // Round-end exactness: every partition published since its last
+    // apply (a benign buffer does not matter), and no backlogged edge
+    // awaiting its owner.
     bool exact_after_batch = forward_backlog_.empty();
     if (exact_after_batch) {
       std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-      for (const auto& p : parts_) {
-        if (p->since_detect != 0 || p->spade.PendingBenignEdges() != 0) {
-          exact_after_batch = false;
-          break;
-        }
-      }
+      exact_after_batch =
+          std::all_of(parts_.begin(), parts_.end(),
+                      [](const auto& p) { return p->since_detect == 0; });
     }
     bool make_exact = false;
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
-      // Cheap advance: if the batch happened to end on a fresh publication
-      // with nothing buffered, the snapshot is already exact and a later
-      // Drain() needs no worker round-trip.
-      if (exact_after_batch) {
-        exact_pos_ = dequeue_pos_;
-        fold_wanted_ = false;
-      }
+      // Cheap advance: if the batch happened to end on a fresh publication,
+      // the snapshot is already exact and a later Drain() needs no worker
+      // round-trip.
+      if (exact_after_batch) exact_pos_ = dequeue_pos_;
       // A Drain() waiter under sustained traffic: the ring may never run
       // empty, so produce exactness now rather than at the next park.
       make_exact = ExactnessWantedLocked();
@@ -1268,15 +1263,13 @@ void ShardWorker::WorkerLoop() {
     }
   }
 
-  // Final shutdown flush.
+  // Final shutdown publication (benign buffers stay, as at a Drain).
   {
     std::vector<std::shared_ptr<const Community>> alerts;
     {
       std::lock_guard<std::mutex> apply_lock(detector_mutex_);
       for (auto& p : parts_) {
-        if (p->since_detect > 0 || p->spade.PendingBenignEdges() > 0) {
-          FoldAndPublish(*p);
-        }
+        if (p->since_detect > 0) PublishLocked(*p);
       }
       alerts = TakePendingAlertsLocked();
     }

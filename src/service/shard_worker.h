@@ -57,24 +57,29 @@
 // through Spade::ApplyEdgeDeferred, publishes after every urgent edge (which
 // is reordered on its own while the benign buffer stays benign, and folds
 // the buffer otherwise) and republishes at least every `detect_every`
-// edges. The cadence never folds: benign-buffered edges cannot have changed
-// the community (Lemma 4.4), so it re-reads the cached one. The buffer
-// folds only when an urgent edge leaves it no longer benign, at
-// SpadeOptions::max_benign_buffer, before a window retire, and on demand
-// for exactness: a Drain() waiter registers itself and wakes the worker,
-// which folds every buffer, republishes, and advances the drain cursor —
-// so Drain() returning implies the published snapshot reflects every edge
-// submitted before the Drain() call, and every graph holds them. A chain
-// replay that ends with a buffer asks the next Drain() to fold it too.
-// Between demands the benign buffer can grow to the cap; under
-// state-dependent semantics (FD) a longer buffer weighs later edges against
-// a staler graph, identically live and on chain replay (the fold points
-// are logged).
+// edges. No publication folds: benign-buffered edges cannot have changed
+// the community (Lemma 4.4), so the peel state's community is already the
+// community of graph + buffer. Every fold happens inside Spade — when an
+// urgent edge leaves the buffer no longer benign, at
+// SpadeOptions::max_benign_buffer, and before a window retire — so a chain
+// replay through the same entry points repeats each one; the only fold
+// outside Spade is the Flush before a full base, which restarts the chain.
+// Exactness on demand: a Drain() waiter registers itself and wakes the
+// worker, which republishes every partition with unpublished applies and
+// advances the drain cursor — so Drain() returning means every edge
+// submitted before the call has been applied (to its graph or its benign
+// buffer) and its community published. Readers that need the edges
+// themselves read graph() and benign_buffer() together (the stitch
+// gather, the boundary rebuild). The benign buffer can grow to the cap;
+// under state-dependent semantics (FD) a longer buffer weighs later edges
+// against a staler graph, identically live and on chain replay.
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -119,6 +124,14 @@ namespace spade {
 /// from the previously reported one. No service lock is held.
 using FraudAlertFn = std::function<void(const Community&)>;
 
+/// The alert filter's density comparison: equal within 1e-9 relative (the
+/// tie-exact standard), so a reorder that moves BestDensity() by a few ulps
+/// without changing the members does not read as a new community.
+inline bool SameDensity(double a, double b) {
+  return std::abs(a - b) <=
+         1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
+}
+
 /// Invoked from the worker thread around a retire pass. Fires TWICE per
 /// pass that deletes anything: once with count 0 BEFORE the first deletion
 /// (so a consumer can drop state the deletions are about to invalidate —
@@ -154,10 +167,11 @@ struct DetectionServiceOptions {
   /// Republish (and possibly alert) after at most this many applied edges
   /// even if no urgent edge arrived. A cadence hit does NOT fold the benign
   /// buffer: by Lemma 4.4 buffered edges cannot change the community, so it
-  /// republishes the partition's cached one. The buffer folds when an
-  /// urgent edge leaves it no longer benign, at
-  /// SpadeOptions::max_benign_buffer, before a window retire, and on every
-  /// exactness demand (Drain, checkpoints, stitching, shutdown).
+  /// republishes the partition's cached one. The buffer folds only inside
+  /// Spade (an urgent edge that leaves it no longer benign,
+  /// SpadeOptions::max_benign_buffer, a window retire) and before a full
+  /// checkpoint base; Drain, delta checkpoints, stitching and shutdown
+  /// leave it buffered.
   std::size_t detect_every = 256;
   /// Bound on edges accepted but not yet taken off the handoff ring by the
   /// worker. The ring also has a bounded number of slabs
@@ -319,9 +333,9 @@ class ShardWorker {
 
   /// Blocks until every edge submitted before this call has been applied
   /// (or handed to its current owner, for partitions that moved away) AND
-  /// the published snapshot reflects the locally-applied ones, with every
-  /// benign buffer folded into its graph — including one a chain replay
-  /// left behind. Returns immediately once the worker has exited.
+  /// the published snapshot reflects the locally-applied ones. Benign
+  /// buffers stay buffered: an applied edge is in its partition's graph or
+  /// its benign buffer. Returns immediately once the worker has exited.
   void Drain();
 
   /// Bounded-wait Drain: returns true when the snapshot became exact (or
@@ -378,9 +392,17 @@ class ShardWorker {
   /// Copy of one partition's window log (arrival order, applied weights).
   std::vector<Edge> PartitionWindowEdges(std::size_t pid) const;
 
-  /// Snapshot publications (fold or cadence republish) so far (lock-free).
+  /// Snapshot publications (urgent edge, cadence, drain or retire) so far
+  /// (lock-free).
   std::uint64_t DetectionsRun() const {
     return detections_.load(std::memory_order_relaxed);
+  }
+
+  /// Republishes whose members equal the last alert's and whose density
+  /// differs from it only within SameDensity — ulp drift, not an alert
+  /// (lock-free).
+  std::uint64_t AlertsSuppressed() const {
+    return alerts_suppressed_.load(std::memory_order_relaxed);
   }
 
   /// Cross-home edges in the owned partitions (relaxed; never takes a
@@ -429,11 +451,20 @@ class ShardWorker {
   void ResetHighWater();
 
   /// Fraction of wall time since construction the worker spent applying
-  /// edges / retires (busy), as opposed to parked or gathering. Relaxed.
+  /// edges / retires or making a Drain exact (busy), as opposed to parked
+  /// or gathering. Relaxed.
   double BusyFraction() const;
 
   /// Ascending pids of the partitions this worker currently owns.
   std::vector<std::size_t> OwnedPartitions() const;
+
+  /// Owned partitions and their buffered benign edges, read under one
+  /// detector-mutex acquisition (the stats path).
+  struct Occupancy {
+    std::size_t partitions = 0;
+    std::size_t pending_benign = 0;
+  };
+  Occupancy GetOccupancy() const;
 
   /// Per-partition applied-edge counts since the previous call
   /// (exchange-reset under the detector mutex): the steal policy's load
@@ -459,9 +490,10 @@ class ShardWorker {
   /// out-edges only, so an edge is emitted exactly once), and
   /// `vertex_weight[i]` is raised to this worker's prior for
   /// `vertices[i]`. Holds the detector mutex for the scan (O(out-degree
-  /// sum of the listed vertices)), so it delays at most one in-flight
-  /// apply and never touches the queue. Benign-buffered edges are not yet
-  /// in the graph; a caller wanting them included drains first.
+  /// sum of the listed vertices plus the benign buffers)), so it delays at
+  /// most one in-flight apply and never touches the queue. Benign-buffered
+  /// edges with both endpoints listed are appended too: together with the
+  /// graph they are every applied edge.
   void CollectInduced(std::span<const VertexId> vertices,
                       const std::function<bool(VertexId)>& contains,
                       std::vector<Edge>* edges,
@@ -470,8 +502,7 @@ class ShardWorker {
   /// Result of one incremental checkpoint of a partition.
   struct DeltaSaveInfo {
     std::uint64_t bytes = 0;   // segment file size incl. trailer
-    std::size_t edges = 0;     // edge records written
-    std::size_t records = 0;   // edge + flush-marker records written
+    std::size_t records = 0;   // edge + retire records written
   };
 
   /// Everything needed to rebuild one partition to a checkpoint epoch: the
@@ -517,24 +548,24 @@ class ShardWorker {
                             DeltaSaveInfo* info = nullptr);
 
   /// Drains, installs the plan's base state, and replays its delta chain
-  /// through the live ApplyEdgeDeferred / Flush path — the restored detector
-  /// re-makes exactly the decisions the live one made (DESIGN.md §5), so
-  /// the result is bit-identical to the detector that wrote the chain. The
-  /// restored community is republished and becomes the alert baseline;
-  /// delta tracking stays armed for the next incremental checkpoint. A
-  /// chain that ends with benign-buffered edges keeps them buffered, like
-  /// the live detector did; the next Drain() folds them. Safe
-  /// to run concurrently with other workers' restores (each call only
-  /// touches its own worker's detector mutex), which is how the sharded
-  /// service parallelizes restore-side replay; two partitions on the same
-  /// worker serialize.
+  /// through the live ApplyEdgeDeferred / RetireEdge path — the restored
+  /// detector re-makes exactly the decisions (and folds) the live one made
+  /// (DESIGN.md §5), so the result is bit-identical to the detector that
+  /// wrote the chain, benign buffer included. The restored community is
+  /// republished and becomes the alert baseline; delta tracking stays
+  /// armed for the next incremental checkpoint. Safe to run concurrently
+  /// with other workers' restores (each call only touches its own worker's
+  /// detector mutex), which is how the sharded service parallelizes
+  /// restore-side replay; two partitions on the same worker serialize.
   Status RestorePartitionChain(std::size_t pid, RestorePlan&& plan);
 
   /// Replays one already-validated delta segment on top of the partition's
   /// current state — the warm-standby increment: a follower that restored
   /// epoch E applies the segment E -> E+1 without reloading the base.
   /// Same replay path as RestorePartitionChain, so the result stays
-  /// bit-identical to the primary that wrote the segment. Fails with
+  /// bit-identical to the primary that wrote the segment, including a
+  /// segment that ends mid-buffer: the standby's Drain does not fold it,
+  /// just as the owner's did not. Fails with
   /// kFailedPrecondition when the queue cannot be drained within
   /// `drain_timeout` (a promoted follower must not replay into a detector
   /// with edges still in flight).
@@ -589,6 +620,9 @@ class ShardWorker {
 
   void WorkerLoop();
 
+  /// Worker thread: counts the time since `begin` toward busy_ns_.
+  void AddBusySince(std::chrono::steady_clock::time_point begin);
+
   /// Shared enqueue path for Submit and SubmitBatch (see SubmitBatch for
   /// the partial-accept contract). `accepted` null = all-or-nothing.
   /// `owned` (optional) is the storage behind `edges`: when the whole
@@ -620,28 +654,22 @@ class ShardWorker {
   /// Wakes blocked producers iff any are registered.
   void NotifySpaceFreed();
 
-  /// Make-exact protocol for a Drain waiter: fold + republish every
-  /// partition, then advance the drain cursor over every popped cell
-  /// (unless the forward backlog is nonempty — a backlogged edge is not
-  /// yet applied anywhere).
+  /// Make-exact protocol for a Drain waiter: republish every partition
+  /// with unpublished applies (no fold), then advance the drain cursor
+  /// over every popped cell (unless the forward backlog is nonempty — a
+  /// backlogged edge is not yet applied anywhere).
   void MakeExact();
 
   /// Worker thread, queue_mutex_ held: a Drain() waiter is registered, the
-  /// snapshot trails the popped cells (or a replay left a buffer to fold),
-  /// and no backlogged edge blocks exactness — so MakeExact would advance
-  /// the cursor.
+  /// snapshot trails the popped cells, and no backlogged edge blocks
+  /// exactness — so MakeExact would advance the cursor.
   bool ExactnessWantedLocked() const {
-    return drain_waiters_ > 0 &&
-           (exact_pos_ < dequeue_pos_ || fold_wanted_) &&
+    return drain_waiters_ > 0 && exact_pos_ < dequeue_pos_ &&
            forward_backlog_.empty();
   }
 
-  /// Drain() / DrainFor() (no timeout = wait forever). With
-  /// `fold_replayed` false the wait ignores fold_wanted_: the restore and
-  /// standby replay paths use it, so a buffer a replay left behind folds
-  /// at the first Drain after them, not between two replays.
-  bool WaitExact(std::optional<std::chrono::milliseconds> timeout,
-                 bool fold_replayed);
+  /// Drain() / DrainFor() (no timeout = wait forever).
+  bool WaitExact(std::optional<std::chrono::milliseconds> timeout);
 
   /// Looks up the owned partition for an edge (detector mutex held):
   /// partition_of_ -> pid -> ownership table, or the one partition under
@@ -687,16 +715,18 @@ class ShardWorker {
   /// mutex held). An empty worker publishes an empty community.
   void PublishArgmaxLocked();
 
-  /// Folds one partition's benign buffer (logging a flush marker so chain
-  /// replay folds at the same point), then PublishLocked. The exactness
-  /// paths (MakeExact, shutdown) and the retire pass use it.
-  void FoldAndPublish(Partition& p);
-
   /// Re-reads one partition's community from its peel state WITHOUT
   /// folding the benign buffer, refreshes the published snapshot, and
   /// queues an alert if the community changed (detector mutex held; the
-  /// caller fires pending alerts after unlocking). The apply path uses it.
+  /// caller fires pending alerts after unlocking). Every publication path
+  /// uses it: apply, cadence, drain, retire and shutdown.
   void PublishLocked(Partition& p);
+
+  /// Republishes one partition's community and makes it the alert
+  /// baseline without alerting (detector mutex held): after a chain replay
+  /// and after the fold before a full base, neither of which changes the
+  /// community (Lemma 4.4) beyond ulp ties.
+  void RebaselineLocked(Partition& p);
 
   /// Moves out queued alerts (detector mutex held).
   std::vector<std::shared_ptr<const Community>> TakePendingAlertsLocked() {
@@ -747,11 +777,6 @@ class ShardWorker {
   /// reflected in the published snapshot; Drain() waits for it to pass
   /// the claim cursor it read.
   std::uint64_t exact_pos_ = 0;
-  /// A chain replay left benign-buffered edges: the next Drain() folds
-  /// them although the cursor is exact. Set inside detector_mutex_ (the
-  /// one place queue_mutex_ nests in it; nothing takes them the other way
-  /// round).
-  bool fold_wanted_ = false;
 
   // --- partitions, touched only by the worker thread (or by Save/Restore/
   // Detach while the worker is parked in its queue wait; detector_mutex_
@@ -785,6 +810,7 @@ class ShardWorker {
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> alerts_{0};
   std::atomic<std::uint64_t> detections_{0};
+  std::atomic<std::uint64_t> alerts_suppressed_{0};
   std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> retire_begins_{0};
   /// Sum of the owned partitions' boundary_edges (mirror for lock-free
@@ -793,8 +819,9 @@ class ShardWorker {
   /// Cross-home applies and retires so far (monotone; written under the
   /// detector mutex).
   std::atomic<std::uint64_t> boundary_updates_{0};
-  /// Nanoseconds the worker spent in apply/retire/backlog work (vs parked
-  /// or gathering); BusyFraction divides by wall time since start_.
+  /// Nanoseconds the worker spent in apply/retire/backlog work and in
+  /// MakeExact (vs parked or gathering); BusyFraction divides by wall time
+  /// since start_.
   std::atomic<std::uint64_t> busy_ns_{0};
   std::chrono::steady_clock::time_point start_;
   RetireNotifyFn on_retire_;

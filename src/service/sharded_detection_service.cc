@@ -687,8 +687,10 @@ GlobalCommunity ShardedDetectionService::StitchNow() {
 }
 
 GlobalCommunity ShardedDetectionService::StitchPass(bool unbounded_seam) {
-  // Drain first, so the seam graph reflects every edge submitted before
-  // the pass (the exactness the differential suite pins).
+  // Drain first, so every edge submitted before the pass is applied and
+  // its community published (the exactness the differential suite pins).
+  // The gather reads each partition's graph and benign buffer, so nothing
+  // needs folding.
   Drain();
 
   GlobalCommunity result;
@@ -989,7 +991,10 @@ ShardedServiceStats ShardedDetectionService::GetStats() const {
     stats.shard_queue_depth.push_back(w->QueueDepth());
     stats.shard_queue_hwm.push_back(w->QueueDepthHighWater());
     stats.shard_busy_fraction.push_back(w->BusyFraction());
-    stats.shard_partitions.push_back(w->OwnedPartitions().size());
+    const ShardWorker::Occupancy occupancy = w->GetOccupancy();
+    stats.shard_partitions.push_back(occupancy.partitions);
+    stats.shard_pending_benign.push_back(occupancy.pending_benign);
+    stats.alerts_suppressed += w->AlertsSuppressed();
   }
   stats.num_partitions = map_.num_partitions();
   stats.steals = steals_.load(std::memory_order_relaxed);
@@ -1198,7 +1203,7 @@ Status ShardedDetectionService::SaveDeltaEpoch(const std::string& dir,
         pid, JoinPath(dir, name), static_cast<std::uint32_t>(pid),
         chain_.epoch, epoch, &shard_info));
     bytes += shard_info.bytes;
-    delta_edges += shard_info.edges;
+    delta_edges += shard_info.records;
     manifest.deltas.push_back(
         {epoch, static_cast<std::uint32_t>(pid), name});
   }
@@ -1376,7 +1381,7 @@ Status ShardedDetectionService::RestoreState(const std::string& dir,
       break;
     }
     for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-      delta_edges += epoch_segments[pid].NumEdges();
+      delta_edges += epoch_segments[pid].records.size();
       plans[pid].segments.push_back(std::move(epoch_segments[pid]));
     }
     restored_epoch = e;
@@ -1539,7 +1544,7 @@ Status ShardedDetectionService::ApplyChainEpoch(
     // own the partition when the replay runs on it.
     std::lock_guard<std::mutex> rebalance_lock(rebalance_mutex_);
     for (std::size_t pid = 0; pid < num_partitions; ++pid) {
-      replayed += segments[pid].NumEdges();
+      replayed += segments[pid].records.size();
       SPADE_RETURN_NOT_OK(
           workers_[map_.ShardOf(pid)]->ReplayPartitionSegment(
               pid, segments[pid], drain_timeout));

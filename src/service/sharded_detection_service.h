@@ -253,6 +253,10 @@ struct ShardedDetectionServiceOptions {
 struct ShardedServiceStats {
   std::uint64_t edges_processed = 0;
   std::uint64_t alerts_delivered = 0;
+  /// Republishes that kept the last alert's members and moved its density
+  /// only within 1e-9 relative (SameDensity): ulp drift from a deferred
+  /// reorder, not delivered as an alert.
+  std::uint64_t alerts_suppressed = 0;
   /// Live cross-home edges (applied and not retired).
   std::uint64_t boundary_edges = 0;
   std::uint64_t stitch_passes = 0;
@@ -294,6 +298,11 @@ struct ShardedServiceStats {
   std::vector<double> shard_busy_fraction;
   /// Partitions each worker currently owns.
   std::vector<std::size_t> shard_partitions;
+  /// Benign-buffered edges each worker holds across its partitions:
+  /// applied and published, but not yet reordered into the peel state.
+  /// Drain leaves them buffered; each partition holds at most
+  /// SpadeOptions::max_benign_buffer.
+  std::vector<std::size_t> shard_pending_benign;
 };
 
 /// Partition-parallel streaming front-end over N Spade detectors. With one
@@ -357,8 +366,10 @@ class ShardedDetectionService {
   std::size_t HomeShardOf(VertexId v) const;
 
   /// Blocks until every shard has applied and republished everything
-  /// submitted before this call. Edges submitted concurrently need not be
-  /// covered, so a producer that keeps submitting does not hold it up.
+  /// submitted before this call. Benign buffers stay buffered (an applied
+  /// edge is in its partition's graph or benign buffer). Edges submitted
+  /// concurrently need not be covered, so a producer that keeps submitting
+  /// does not hold it up.
   void Drain();
 
   /// Bounded-wait Drain: true when every shard became exact within

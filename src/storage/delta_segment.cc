@@ -7,9 +7,8 @@ namespace spade {
 namespace {
 
 constexpr std::uint64_t kDeltaMagic = 0x53504144455F4453ULL;  // "SPADE_DS"
-constexpr std::uint32_t kDeltaVersion = 2;
+constexpr std::uint32_t kDeltaVersion = 3;
 constexpr std::uint8_t kTagEdge = 0;
-constexpr std::uint8_t kTagFlush = 1;
 constexpr std::uint8_t kTagRetire = 2;
 
 }  // namespace
@@ -24,10 +23,6 @@ Status WriteDeltaSegment(const std::string& path, const DeltaSegment& segment,
   writer.Write(segment.epoch);
   writer.Write(static_cast<std::uint64_t>(segment.records.size()));
   for (const DeltaRecord& r : segment.records) {
-    if (r.flush) {
-      writer.Write(kTagFlush);
-      continue;
-    }
     writer.Write(r.retire ? kTagRetire : kTagEdge);
     writer.Write(static_cast<std::uint32_t>(r.edge.src));
     writer.Write(static_cast<std::uint32_t>(r.edge.dst));
@@ -71,10 +66,6 @@ Status ReadDeltaSegment(const std::string& path, DeltaSegment* segment) {
     std::uint8_t tag = 0;
     if (!reader.Read(&tag)) {
       return Status::IOError(path + ": truncated delta segment records");
-    }
-    if (tag == kTagFlush) {
-      parsed.records.push_back(DeltaRecord::Flush());
-      continue;
     }
     if (tag != kTagEdge && tag != kTagRetire) {
       return Status::IOError(path + ": unknown delta record tag");

@@ -7,16 +7,14 @@
 // (DESIGN.md §5).
 //
 // A segment records the shard's *applied history* since the previous
-// checkpoint epoch: the raw edges in application order, interleaved with
-// flush markers at every point where the live detector flushed its benign
-// buffer. Restoring replays that history through the normal
-// Spade::ApplyEdge / Flush path, so the restored detector makes byte-for-
-// byte the same decisions (benign classification, batch boundaries,
+// checkpoint epoch: the raw edges inserted and the edges retired, in
+// application order. Restoring replays that history through the live
+// Spade::ApplyEdgeDeferred / RetireEdge path, so the restored detector makes
+// byte-for-byte the same decisions (benign classification, buffer folds,
 // state-dependent edge weights) the live one made — replay(base + chain)
-// is bit-identical to the detector that never restarted. Markers are what
-// buy exactness for state-dependent semantics (FD weighs an edge against
-// the graph *at application time*, which depends on how much of the benign
-// buffer had been folded in).
+// is bit-identical to the detector that never restarted. Every fold of the
+// benign buffer happens inside Spade, as a deterministic function of the
+// detector state, so the history needs no fold markers.
 //
 // Chain integrity: each segment names the epoch it advances FROM
 // (`prev_epoch`) and TO (`epoch`); restore refuses a segment that does not
@@ -24,12 +22,11 @@
 // CRC-64 trailer discipline (storage/checked_io.h): any torn or mutated
 // segment is detected before a single record is replayed.
 //
-// Format (little-endian, version 2):
-//   [magic u64 "SPADE_DS"][version u32 = 2]
+// Format (little-endian, version 3):
+//   [magic u64 "SPADE_DS"][version u32 = 3]
 //   [shard u32][prev_epoch u64][epoch u64]
 //   [num_records u64]
 //   records: [tag u8 = 0][src u32][dst u32][weight f64][ts i64]  (edge)
-//          | [tag u8 = 1]                                        (flush)
 //          | [tag u8 = 2][src u32][dst u32][weight f64][ts i64]  (retire)
 //   [crc64 trailer]
 //
@@ -37,7 +34,8 @@
 // graph with — the deletion path must subtract exactly what the insertion
 // added — plus the event timestamp, so replay reproduces a windowed
 // detector's insert-then-retire history bit-for-bit. The reader accepts
-// version 2 only.
+// version 3 only (version 2 carried a flush record, tag 1, that no fold
+// needs any more).
 
 #pragma once
 
@@ -50,19 +48,13 @@
 
 namespace spade {
 
-/// One entry of a shard's applied history: an edge insertion, a benign-
-/// buffer flush boundary, or a window-expiry retirement (edge.weight is the
-/// applied weight being subtracted, edge.ts the original event time).
+/// One entry of a shard's applied history: an edge insertion or a
+/// window-expiry retirement (edge.weight is the applied weight being
+/// subtracted, edge.ts the original event time).
 struct DeltaRecord {
-  Edge edge;            // valid when !flush
-  bool flush = false;   // true: the detector flushed here; `edge` is unused
+  Edge edge;
   bool retire = false;  // true: the detector retired `edge` here
 
-  static DeltaRecord Flush() {
-    DeltaRecord r;
-    r.flush = true;
-    return r;
-  }
   static DeltaRecord Insert(const Edge& e) {
     DeltaRecord r;
     r.edge = e;
@@ -82,12 +74,6 @@ struct DeltaSegment {
   std::uint64_t prev_epoch = 0;  // checkpoint epoch this segment extends
   std::uint64_t epoch = 0;       // checkpoint epoch it advances to
   std::vector<DeltaRecord> records;
-
-  std::size_t NumEdges() const {
-    std::size_t n = 0;
-    for (const DeltaRecord& r : records) n += r.flush ? 0 : 1;
-    return n;
-  }
 };
 
 /// Atomically writes `segment` to `path` (CRC-64 trailer, temp + rename).

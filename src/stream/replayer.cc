@@ -240,11 +240,17 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   if (options.checkpoint_every_edges > 0) {
     checkpointer = std::thread([&] {
       std::uint64_t next_target = options.checkpoint_every_edges;
-      while (!checkpointing_done.load(std::memory_order_relaxed)) {
+      for (;;) {
+        // Read the stop flag before the count: a checkpoint that fell due
+        // before the stream ended is taken even when the whole tail was
+        // applied between two polls.
+        const bool done = checkpointing_done.load(std::memory_order_acquire);
         if (service.EdgesProcessed() >= next_target) {
           take_checkpoint();
           next_target =
               service.EdgesProcessed() + options.checkpoint_every_edges;
+        } else if (done) {
+          break;
         } else {
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
@@ -337,7 +343,7 @@ ServiceReplayReport ReplayThroughService(std::vector<Spade> shards,
   report.wall_seconds = now_micros() * 1e-6;
 
   if (options.checkpoint_every_edges > 0) {
-    checkpointing_done.store(true, std::memory_order_relaxed);
+    checkpointing_done.store(true, std::memory_order_release);
     if (checkpointer.joinable()) checkpointer.join();
     // Final checkpoint so the directory covers the whole stream.
     take_checkpoint();

@@ -286,7 +286,7 @@ TEST_F(CorruptionFuzzTest, EachReaderAcceptsOnlyItsVersion) {
          return LoadSnapshot(join(dir, ShardSnapshotFileName(0, 1)), &g,
                              nullptr, nullptr);
        }},
-      {ShardDeltaFileName(0, 2), 2, {1}, true,
+      {ShardDeltaFileName(0, 2), 3, {1, 2}, true,
        [&](const std::string& dir) {
          DeltaSegment segment;
          return ReadDeltaSegment(join(dir, ShardDeltaFileName(0, 2)),

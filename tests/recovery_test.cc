@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +26,7 @@
 #include "storage/checked_io.h"
 #include "storage/delta_segment.h"
 #include "storage/sharded_snapshot.h"
+#include "storage/snapshot.h"
 #include "tests/test_util.h"
 
 namespace spade {
@@ -148,9 +148,10 @@ LiveRun RunAndCheckpoint(const std::string& dir, std::size_t epochs,
 
   for (std::uint64_t e = 2; e <= epochs; ++e) {
     // Between two halves of random traffic, plant one benign edge per
-    // shard and Drain: the Drain folds the buffered edge, so every delta
-    // log carries a flush marker between insert records and replay has to
-    // honour it.
+    // shard and Drain: the Drain leaves it buffered, so the second half is
+    // applied over a live buffer — deferred urgent edges, and folds Spade
+    // makes on its own, which replay has to repeat — and a segment can end
+    // with the buffer still full.
     const std::vector<Edge> random = RandomChunk(&rng, kChunkEdges);
     const std::size_t half = random.size() / 2;
     std::vector<Edge> chunk(random.begin(), random.begin() + half);
@@ -177,13 +178,35 @@ LiveRun RunAndCheckpoint(const std::string& dir, std::size_t epochs,
   return run;
 }
 
-/// Segments of epochs 2..`epochs` in `dir` holding a flush record with an
-/// insert record on each side.
-std::size_t SegmentsWithInteriorFlush(const std::string& dir,
-                                      std::uint64_t epochs) {
-  std::size_t found = 0;
-  for (std::uint64_t e = 2; e <= epochs; ++e) {
-    for (std::size_t s = 0; s < kShards; ++s) {
+/// What replaying the chain in `dir` does with the benign buffers, counted
+/// over the segments of epochs 2..`epochs`.
+struct ReplayFolds {
+  /// Segments where Spade folds a non-empty buffer at an insert record
+  /// with an insert record on each side — the fold a delta record once
+  /// had to mark, now repeated by replay alone.
+  std::size_t interior = 0;
+  /// Segments that end with a non-empty buffer.
+  std::size_t buffered_end = 0;
+};
+
+/// Replays each shard's chain onto its epoch-1 base in a bare detector,
+/// through ApplyEdgeDeferred as the restore path does, and counts folds.
+ReplayFolds CountReplayFolds(const std::string& dir, std::uint64_t epochs) {
+  ReplayFolds folds;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    DynamicGraph graph;
+    PeelState state;
+    bool state_present = false;
+    EXPECT_TRUE(LoadSnapshot((std::filesystem::path(dir) /
+                              ShardSnapshotFileName(s, 1))
+                                 .string(),
+                             &graph, &state, &state_present)
+                    .ok());
+    Spade spade;
+    spade.SetSemantics(MakeDW());
+    spade.TurnOnEdgeGrouping();
+    spade.RestoreFromParts(std::move(graph), std::move(state), state_present);
+    for (std::uint64_t e = 2; e <= epochs; ++e) {
       DeltaSegment segment;
       EXPECT_TRUE(ReadDeltaSegment(
                       (std::filesystem::path(dir) / ShardDeltaFileName(s, e))
@@ -191,18 +214,21 @@ std::size_t SegmentsWithInteriorFlush(const std::string& dir,
                       &segment)
                       .ok());
       const auto& r = segment.records;
-      const auto is_insert = [](const DeltaRecord& d) {
-        return !d.flush && !d.retire;
-      };
-      for (std::size_t i = 1; i + 1 < r.size(); ++i) {
-        if (r[i].flush && is_insert(r[i - 1]) && is_insert(r[i + 1])) {
-          ++found;
-          break;
+      bool interior = false;
+      for (std::size_t i = 0; i < r.size(); ++i) {
+        EXPECT_FALSE(r[i].retire);  // these chains insert only
+        const std::size_t before = spade.PendingBenignEdges();
+        EXPECT_TRUE(spade.ApplyEdgeDeferred(r[i].edge).ok());
+        if (before > 0 && spade.PendingBenignEdges() == 0 && i > 0 &&
+            i + 1 < r.size()) {
+          interior = true;
         }
       }
+      folds.interior += interior ? 1 : 0;
+      folds.buffered_end += spade.PendingBenignEdges() > 0 ? 1 : 0;
     }
   }
-  return found;
+  return folds;
 }
 
 void CopyDir(const std::string& from, const std::string& to) {
@@ -234,9 +260,11 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, ParallelRestoreBitIdenticalToSerial) {
   constexpr std::size_t kEpochs = 4;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/311);
-  // Replay must honour flush markers between inserts, not just at a
-  // segment's end.
-  ASSERT_GT(SegmentsWithInteriorFlush(dir_, kEpochs), 0u);
+  // Replay must repeat folds between inserts, and keep a buffer a segment
+  // ends with.
+  const ReplayFolds folds = CountReplayFolds(dir_, kEpochs);
+  ASSERT_GT(folds.interior, 0u);
+  ASSERT_GT(folds.buffered_end, 0u);
 
   auto parallel = BuildService(run.initial, /*restore_threads=*/0);
   auto serial = BuildService(run.initial, /*restore_threads=*/1);
@@ -256,6 +284,32 @@ TEST_F(RecoveryTest, ParallelRestoreBitIdenticalToSerial) {
     testing::ExpectShardEqualsCapture(run.at[kEpochs][s], from_parallel[s]);
     testing::ExpectShardEqualsCapture(from_serial[s], from_parallel[s]);
   }
+}
+
+// A warm standby replays its owner's segments one epoch at a time
+// (ApplyChainEpoch -> ShardWorker::ReplayPartitionSegment) and drains after
+// each. The segments end mid-buffer, and neither the replay's drain nor
+// the standby's own Drain folds, so after every epoch the standby equals
+// the owner's capture at that epoch, benign buffer included.
+TEST_F(RecoveryTest, WarmStandbyKeepsReplayedBufferThroughDrain) {
+  constexpr std::size_t kEpochs = 4;
+  LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/311);
+  ASSERT_GT(CountReplayFolds(dir_, kEpochs).buffered_end, 0u);
+  // Epoch 1 is a base of the initial graph, so a fresh build is at it.
+  auto standby = BuildService(run.initial);
+  std::size_t buffered_epochs = 0;
+  for (std::uint64_t e = 2; e <= kEpochs; ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    ASSERT_TRUE(
+        standby->ApplyChainEpoch(dir_, e, std::chrono::seconds(10)).ok());
+    standby->Drain();
+    const auto replayed = CaptureShards(*standby);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      testing::ExpectShardEqualsCapture(run.at[e][s], replayed[s]);
+      if (run.at[e][s].pending_benign > 0) ++buffered_epochs;
+    }
+  }
+  EXPECT_GT(buffered_epochs, 0u);
 }
 
 // The seam end to end: a live delta save whose shard-0 segment is torn by
@@ -304,12 +358,15 @@ TEST_F(RecoveryTest, TruncatingWriterSeamFallsBackToDurableEpoch) {
 TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   constexpr std::size_t kEpochs = 3;
   LiveRun run = RunAndCheckpoint(dir_, kEpochs, /*seed=*/303);
-  // The sweep must cut around interior flush markers too.
-  ASSERT_GT(SegmentsWithInteriorFlush(dir_, kEpochs), 0u);
+  // The sweep must cut around folds between inserts and through a buffer
+  // a segment ends with.
+  const ReplayFolds folds = CountReplayFolds(dir_, kEpochs);
+  ASSERT_GT(folds.interior, 0u);
+  ASSERT_GT(folds.buffered_end, 0u);
 
   // Collect cut points per target file. For delta segments the format is
-  // known: 40-byte header, then 1-byte (flush) or 25-byte (edge) records —
-  // cut at every record boundary and inside every edge record.
+  // known: 40-byte header, then 25-byte records — cut at every record
+  // boundary and inside every record.
   struct Target {
     std::string file;
     std::vector<std::uint64_t> cuts;
@@ -328,10 +385,9 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
       t.cuts.push_back(header_cut);
       offset = header_cut;
     }
-    for (const DeltaRecord& r : segment.records) {
-      const std::uint64_t size = r.flush ? 1 : 25;
-      if (!r.flush) t.cuts.push_back(offset + 13);  // mid-record
-      offset += size;
+    for (std::size_t i = 0; i < segment.records.size(); ++i) {
+      t.cuts.push_back(offset + 13);  // mid-record
+      offset += 25;
       t.cuts.push_back(offset);  // framing boundary after the record
     }
     t.cuts.push_back(offset + 4);  // inside the CRC trailer
@@ -339,7 +395,7 @@ TEST_F(RecoveryTest, TruncationSweepRestoresToDurableEpoch) {
   }
   {
     // Every few bytes, blind to the record layout: cuts the framing-aware
-    // list above would never pick (inside the header fields, mid-flush).
+    // list above would never pick (inside the header fields).
     Target t;
     t.file = ShardDeltaFileName(0, kEpochs);
     const auto size = std::filesystem::file_size(
@@ -527,8 +583,7 @@ void ExpectWindowsEqual(const std::vector<Edge>& expected,
 // window log — and must keep converging with the live fleet under further
 // traffic and expiry. This pins the replay argument end to end: retire
 // records re-run the deletion with the recorded applied weight, and the
-// flush inside RetireEdge is deterministic, so no flush marker precedes a
-// retire record yet the replayed flush points match the live ones.
+// flush inside RetireEdge is deterministic, so replay repeats it.
 TEST_F(RecoveryTest, WindowedChainWithRetiresRestoresBitIdentical) {
   constexpr Timestamp kSpan = 2000;
   constexpr std::uint64_t kEpochs = 4;
@@ -667,39 +722,28 @@ TEST_F(RecoveryTest, WindowedFullBaseRestoresWindowLog) {
   }
 }
 
-/// Waits until `service` has applied `edges` edges in all, without a
-/// Drain (which would fold the benign buffers).
-void AwaitApplied(const ShardedDetectionService& service,
-                  std::uint64_t edges) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service.EdgesProcessed() < edges &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.EdgesProcessed(), edges);
-}
-
 // The service reorders an urgent edge alone when the benign buffer stays
-// benign (Spade::ApplyEdgeDeferred). A chain that records such a deferral
-// and ends with the buffer still full — the final flush marker stripped,
-// as when new applies race a save's drain — restores bit-identical to the
-// live fleet before that save, benign buffer included; the restored
-// fleet's first Drain then folds where the live save's drain folded.
+// benign (Spade::ApplyEdgeDeferred), and neither a Drain nor a delta save
+// folds the buffer. A chain that records such a deferral and ends with the
+// buffer still full restores bit-identical to the live fleet, benign
+// buffer included, and the restored fleet's Drain keeps it buffered too.
 TEST_F(RecoveryTest, DeferredUrgentEdgesRestoreBitIdentical) {
   Rng rng(1212);
   const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
   auto service = BuildService(initial);
-  ASSERT_TRUE(service->SaveState(dir_).ok());
   ASSERT_TRUE(service->SubmitBatch(RandomChunk(&rng, kChunkEdges)).ok());
   service->Drain();
-  std::uint64_t applied = service->EdgesProcessed();
+  // The full base folds whatever the random traffic left buffered: a base
+  // holds no buffer.
+  ASSERT_TRUE(service->SaveState(dir_).ok());
+  for (const testing::ShardCapture& c : CaptureShards(*service)) {
+    ASSERT_EQ(c.pending_benign, 0u);
+  }
 
   // One benign edge per shard goes to the buffer ...
   const std::vector<Edge> planted = BenignEdgePerShard(*service);
   ASSERT_TRUE(service->SubmitBatch(planted).ok());
-  applied += planted.size();
-  AwaitApplied(*service, applied);
+  service->Drain();
   // ... then one urgent edge per shard between two members of its
   // community, away from the buffered vertices.
   std::vector<Edge> urgent;
@@ -727,8 +771,7 @@ TEST_F(RecoveryTest, DeferredUrgentEdgesRestoreBitIdentical) {
   }
   ASSERT_EQ(urgent.size(), kShards);
   ASSERT_TRUE(service->SubmitBatch(urgent).ok());
-  applied += urgent.size();
-  AwaitApplied(*service, applied);
+  service->Drain();
   const auto live = CaptureShards(*service);
   for (std::size_t s = 0; s < kShards; ++s) {
     // The deferral happened: the urgent edge is in the graph and the
@@ -744,19 +787,19 @@ TEST_F(RecoveryTest, DeferredUrgentEdgesRestoreBitIdentical) {
                   .ok());
   ASSERT_EQ(info.epoch, 2u);
   const auto saved = CaptureShards(*service);
-  testing::StripFinalFlushMarkers(dir_, kShards, 2);
 
   auto victim = BuildService(initial);
   ASSERT_TRUE(victim->RestoreState(dir_).ok());
   const auto restored = CaptureShards(*victim);
   for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(saved[s].pending_benign, 1u) << "shard " << s;
+    testing::ExpectShardEqualsCapture(saved[s], restored[s]);
     testing::ExpectShardEqualsCapture(live[s], restored[s]);
   }
   victim->Drain();
-  const auto folded = CaptureShards(*victim);
+  const auto drained = CaptureShards(*victim);
   for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(saved[s].pending_benign, 0u);
-    testing::ExpectShardEqualsCapture(saved[s], folded[s]);
+    testing::ExpectShardEqualsCapture(live[s], drained[s]);
   }
 }
 

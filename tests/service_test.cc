@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
@@ -330,10 +331,11 @@ TEST(SingleNodeServiceTest, BlockingStopReportsExactAcceptedPrefix) {
   EXPECT_EQ(service.EdgesProcessed(), 3u);
 }
 
-// The detect_every cadence no longer folds the benign buffer, so on a
-// fully benign stream the detector's max_benign_buffer cap is what bounds
-// it. Drain still folds everything, and the result is tie-exact with a
-// static peel of the final graph.
+// Neither the detect_every cadence nor a Drain folds the benign buffer, so
+// on a fully benign stream the detector's max_benign_buffer cap is what
+// bounds it. After the Drain every fed edge is in the graph or the buffer,
+// the peel state is tie-exact with a static peel of the graph, and the
+// published community is that of graph + buffer.
 TEST(SingleNodeServiceTest, BenignBufferCapBoundsPendingEdges) {
   constexpr std::size_t kCap = 64;
   constexpr VertexId kClique = 10;
@@ -384,19 +386,28 @@ TEST(SingleNodeServiceTest, BenignBufferCapBoundsPendingEdges) {
   });
 
   service.Drain();
+  std::size_t pending = 0;
+  Community folded;
   service.InspectShard(0, [&](const Spade& s) {
-    EXPECT_EQ(s.PendingBenignEdges(), 0u);
-    EXPECT_EQ(s.graph().NumEdges(), initial.size() + kFed);
+    pending = s.PendingBenignEdges();
+    EXPECT_GT(pending, 0u);
+    EXPECT_LE(pending, kCap);
+    EXPECT_EQ(s.graph().NumEdges() + pending, initial.size() + kFed);
+    EXPECT_GE(s.graph().NumEdges(), initial.size() + kFed - kCap);
     testing::ExpectStateEquals(PeelStatic(s.graph()), s.peel_state(), 0.0);
+    folded = PeelStatic(testing::GraphWithBuffer(s)).DetectCommunity();
   });
+  EXPECT_EQ(service.GetStats().shard_pending_benign,
+            std::vector<std::size_t>{pending});
   const Community published = service.CurrentCommunity();
+  testing::ExpectSameCommunity(folded, published);
   EXPECT_EQ(published.members.size(), kClique);
   EXPECT_DOUBLE_EQ(published.density, 45 * 100.0 / kClique);
 }
 
 // An urgent edge that arrives over a still-benign buffer is reordered on
 // its own: the shard publishes (and alerts) right away, before any Drain,
-// and the buffer stays buffered until the Drain folds it.
+// and the buffer stays buffered through the Drain, which alerts no more.
 TEST(SingleNodeServiceTest, UrgentEdgeOverBufferAlertsBeforeDrain) {
   constexpr VertexId kClique = 10;
   constexpr VertexId kVertices = 1010;
@@ -450,14 +461,33 @@ TEST(SingleNodeServiceTest, UrgentEdgeOverBufferAlertsBeforeDrain) {
   });
 
   service.Drain();
+  Community folded;
   service.InspectShard(0, [&](const Spade& s) {
-    EXPECT_EQ(s.PendingBenignEdges(), 0u);
-    EXPECT_EQ(s.graph().NumEdges(), initial.size() + kBenign + 1);
+    EXPECT_EQ(s.PendingBenignEdges(), kBenign);
+    EXPECT_EQ(s.graph().NumEdges(), initial.size() + 1);
+    EXPECT_EQ(s.graph().NumEdges() + s.PendingBenignEdges(),
+              initial.size() + kBenign + 1);
+    folded = PeelStatic(testing::GraphWithBuffer(s)).DetectCommunity();
   });
   const Community published = service.CurrentCommunity();
+  testing::ExpectSameCommunity(folded, published);
   EXPECT_EQ(published.members.size(), kClique);
   EXPECT_DOUBLE_EQ(published.density, 500.0);
   EXPECT_EQ(alerts.load(), 1);
+}
+
+// The alert filter compares densities within 1e-9 relative: a reorder that
+// moves BestDensity() by an ulp with the same members is no new community,
+// a move of 1e-6 relative is.
+TEST(SingleNodeServiceTest, SameDensityAbsorbsUlpDriftOnly) {
+  for (const double d : {0.25, 1.0, 502.05, 1e7}) {
+    EXPECT_TRUE(SameDensity(d, d));
+    EXPECT_TRUE(SameDensity(d, std::nextafter(d, 0.0)));
+    EXPECT_TRUE(SameDensity(std::nextafter(d, 1e300), d));
+    EXPECT_FALSE(SameDensity(d, d * (1 + 1e-6)));
+    EXPECT_FALSE(SameDensity(d * (1 - 1e-6), d));
+  }
+  EXPECT_FALSE(SameDensity(0.0, -1.0));  // an empty community vs no baseline
 }
 
 // The satellite concurrency stress: multiple producers while readers poll

@@ -38,6 +38,7 @@
 #include "graph/dynamic_graph.h"
 #include "metrics/density.h"
 #include "metrics/semantics.h"
+#include "peel/static_peeler.h"
 #include "service/sharded_detection_service.h"
 #include "tests/test_util.h"
 
@@ -73,11 +74,13 @@ void InjectRing(std::vector<Edge>* stream, std::size_t at,
   }
 }
 
-std::vector<Spade> BuildEmptyShards(std::size_t num_shards, std::size_t n) {
+std::vector<Spade> BuildEmptyShards(
+    std::size_t num_shards, std::size_t n,
+    const FraudSemantics& semantics = MakeDW()) {
   std::vector<Spade> shards;
   for (std::size_t s = 0; s < num_shards; ++s) {
     Spade spade;
-    spade.SetSemantics(MakeDW());
+    spade.SetSemantics(semantics);
     EXPECT_TRUE(spade.BuildGraph(n, {}).ok());
     shards.push_back(std::move(spade));
   }
@@ -688,9 +691,10 @@ std::size_t PendingBenignEdges(const ShardedDetectionService& fleet) {
 
 // Boundary weights are derived state: a fleet restored from a base + delta
 // chain, and a standby that replays the last epoch onto the base, both
-// rebuild them from their graphs — equal to the live fleet's, so the seam
-// candidates and the re-stitched answer are the same. A replay that ends
-// with edges still in the benign buffer counts them from there.
+// rebuild them from their graphs and benign buffers — equal to the live
+// fleet's, so the seam candidates and the re-stitched answer are the same.
+// The chain ends with edges still in the benign buffer (neither Drain nor
+// a delta save folds it), and the rebuild counts them from there.
 TEST(MessageDrivenStitchingTest, RestoredBoundaryWeightsEqualLive) {
   constexpr std::size_t kShards = 2;
   const std::size_t n = kShards * kVerticesPerTenant;
@@ -727,6 +731,8 @@ TEST(MessageDrivenStitchingTest, RestoredBoundaryWeightsEqualLive) {
   ASSERT_EQ(info.epoch, 2u);
   const GlobalCommunity stitched = live.StitchNow();
   ASSERT_TRUE(stitched.stitched);
+  const std::size_t live_buffered = PendingBenignEdges(live);
+  ASSERT_GT(live_buffered, 0u);
   testing::ExpectBoundaryWeightsMatchGraphs(&live, partitioner.home);
   const std::unordered_map<VertexId, double> want = live.BoundaryWeights();
   const std::uint64_t want_edges = live.GetStats().boundary_edges;
@@ -753,6 +759,7 @@ TEST(MessageDrivenStitchingTest, RestoredBoundaryWeightsEqualLive) {
     ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
                                      options);
     ASSERT_TRUE(restored.RestoreState(dir).ok());
+    EXPECT_EQ(PendingBenignEdges(restored), live_buffered);
     expect_weights_equal_live(&restored);
     expect_restitch_equal_live(&restored);
   }
@@ -763,52 +770,78 @@ TEST(MessageDrivenStitchingTest, RestoredBoundaryWeightsEqualLive) {
     ASSERT_TRUE(standby.RestoreState(base_dir).ok());
     ASSERT_TRUE(
         standby.ApplyChainEpoch(dir, 2, std::chrono::seconds(10)).ok());
+    EXPECT_EQ(PendingBenignEdges(standby), live_buffered);
     expect_weights_equal_live(&standby);
     expect_restitch_equal_live(&standby);
-  }
-  {
-    SCOPED_TRACE("a chain whose last segments end before their flush");
-    testing::StripFinalFlushMarkers(dir, kShards, 2);
-    ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
-                                     options);
-    ASSERT_TRUE(restored.RestoreState(dir).ok());
-    ASSERT_GT(PendingBenignEdges(restored), 0u);
-    expect_weights_equal_live(&restored);
   }
   live.Stop();
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(base_dir);
 }
 
-// A restored partition whose chain ends with benign-buffered edges folds
-// them at the next Drain, so the stitch pass after a restore gathers them.
-// The cross-shard community {hA, hB, l1, l2} is densest only merged
-// (13.0625 against each shard's own 9.25), and its last edge l1 -> l2 is
-// benign in shard 0 (each endpoint is at 7 + 0.25 there): a stitch pass
-// that gathered graphs without it would report 13.
-TEST(MessageDrivenStitchingTest, RestoredStitchFoldsReplayedBenignTail) {
-  constexpr std::size_t kShards = 2;
-  const std::size_t n = kShards * kVerticesPerTenant;
+// The buffered-tail history. Every DW weight w is sent as
+// `units_per_weight * w` parallel unit edges: 1 sends it as written (DW),
+// 4 turns 0.25 into one edge (DG, where every edge weighs 1: the same
+// geometry at 4x the density).
+constexpr VertexId kTailHa = 10;
+constexpr VertexId kTailL1 = 11;
+constexpr VertexId kTailHb = kVerticesPerTenant + 10;
+constexpr VertexId kTailL2 = kVerticesPerTenant + 11;
 
-  // Epoch 1: one star per tenant (nine leaves at 11), local to its shard.
+std::vector<Edge> InUnits(const std::vector<Edge>& edges,
+                          int units_per_weight) {
+  if (units_per_weight == 1) return edges;
+  std::vector<Edge> out;
+  for (const Edge& e : edges) {
+    const auto copies =
+        static_cast<int>(std::lround(e.weight * units_per_weight));
+    for (int i = 0; i < copies; ++i) out.push_back(Edge{e.src, e.dst, 1.0, 0});
+  }
+  return out;
+}
+
+/// One star per tenant, nine leaves at 11, local to its shard.
+std::vector<Edge> TailStars(int units_per_weight) {
   std::vector<Edge> stars;
   for (VertexId base : {VertexId{0}, kVerticesPerTenant}) {
     for (VertexId leaf = 1; leaf <= 9; ++leaf) {
       stars.push_back(Edge{base, base + leaf, 11.0, 0});
     }
   }
-  // Epoch 2: the cross-shard community, every edge but the last urgent.
-  const VertexId ha = 10;
-  const VertexId l1 = 11;
-  const VertexId hb = kVerticesPerTenant + 10;
-  const VertexId l2 = kVerticesPerTenant + 11;
-  const std::vector<Edge> cross = {
-      {ha, hb, 12.0, 0}, {hb, ha, 12.0, 0}, {l1, ha, 7.0, 0},
-      {hb, l1, 7.0, 0},  {l2, hb, 7.0, 0},  {ha, l2, 7.0, 0},
-      {l1, l2, 0.25, 0}};
+  return InUnits(stars, units_per_weight);
+}
+
+/// The cross-shard community {hA, hB, l1, l2}: densest only merged
+/// (13.0625 against each shard's own 9.25), and its last edge l1 -> l2 is
+/// benign in shard 0 (each endpoint is at 7 + 0.25 there).
+std::vector<Edge> TailCross(int units_per_weight) {
+  const VertexId ha = kTailHa, l1 = kTailL1, hb = kTailHb, l2 = kTailL2;
+  return InUnits({{ha, hb, 12.0, 0},
+                  {hb, ha, 12.0, 0},
+                  {l1, ha, 7.0, 0},
+                  {hb, l1, 7.0, 0},
+                  {l2, hb, 7.0, 0},
+                  {ha, l2, 7.0, 0},
+                  {l1, l2, 0.25, 0}},
+                 units_per_weight);
+}
+
+// A stitch pass gathers benign-buffered edges along with the graphs, live
+// and after a restore whose chain ends with them buffered; neither the
+// pass's Drain nor the restore folds them. The cross-shard community
+// {hA, hB, l1, l2} is densest only merged (13.0625 against each shard's
+// own 9.25), and its last edge l1 -> l2 is benign in shard 0 (each
+// endpoint is at 7 + 0.25 there): a stitch pass that gathered graphs
+// without it would report 13.
+TEST(MessageDrivenStitchingTest, StitchGathersBufferedBenignTail) {
+  constexpr std::size_t kShards = 2;
+  const std::size_t n = kShards * kVerticesPerTenant;
+  const std::vector<Edge> stars = TailStars(1);
+  const std::vector<Edge> cross = TailCross(1);
+  const VertexId ha = kTailHa, l1 = kTailL1, hb = kTailHb, l2 = kTailL2;
 
   // One worker per partition, and both partitions on one worker: there
-  // the second partition's restore must not fold the first one's buffer.
+  // the second partition's restore must leave the first one's buffer.
   for (std::size_t per_worker : {1, 2}) {
     SCOPED_TRACE("partitions per worker: " + std::to_string(per_worker));
     ShardedDetectionServiceOptions options;
@@ -823,6 +856,7 @@ TEST(MessageDrivenStitchingTest, RestoredStitchFoldsReplayedBenignTail) {
     ASSERT_TRUE(live.SaveState(dir).ok());
     SubmitAll(&live, cross);
     live.Drain();
+    ASSERT_EQ(PendingBenignEdges(live), 1u);  // l1 -> l2
     ShardedDetectionService::SaveInfo info;
     ASSERT_TRUE(live.SaveState(dir,
                                ShardedDetectionService::SaveMode::kDelta,
@@ -830,23 +864,114 @@ TEST(MessageDrivenStitchingTest, RestoredStitchFoldsReplayedBenignTail) {
                     .ok());
     ASSERT_EQ(info.epoch, 2u);
     const GlobalCommunity stitched = live.StitchNow();
+    EXPECT_EQ(PendingBenignEdges(live), 1u);
     ASSERT_TRUE(stitched.stitched);
     ASSERT_NEAR(stitched.density, 52.25 / 4, 1e-9);
     EXPECT_EQ(Sorted(stitched.members),
               (std::vector<VertexId>{ha, l1, hb, l2}));
 
-    testing::StripFinalFlushMarkers(dir, kShards, 2);
     ShardedDetectionService restored(BuildEmptyShards(kShards, n), nullptr,
                                      options);
     ASSERT_TRUE(restored.RestoreState(dir).ok());
     ASSERT_EQ(PendingBenignEdges(restored), 1u);  // l1 -> l2
     const GlobalCommunity restitched = restored.StitchNow();
-    EXPECT_EQ(PendingBenignEdges(restored), 0u);
+    EXPECT_EQ(PendingBenignEdges(restored), 1u);
     EXPECT_TRUE(restitched.stitched);
     EXPECT_NEAR(restitched.density, stitched.density, 1e-9);
     EXPECT_EQ(Sorted(restitched.members), Sorted(stitched.members));
     live.Stop();
     std::filesystem::remove_all(dir);
+  }
+}
+
+// Drain and StitchNow fold nothing, yet answer as if they had. Windowless
+// fleets at one and two partitions per worker, under DW and DG, take the
+// buffered-tail history, whose cross-shard community is densest only
+// merged and whose seam edges are partly buffered. After Drain(), every
+// partition's community is the static peel of its graph + buffer, each
+// worker publishes the densest of them, and StitchNow() equals the stitch
+// of a fleet fed the same history and then folded by a full SaveState (a
+// base holds no buffer).
+TEST(MessageDrivenStitchingTest, DrainAndStitchMatchFoldedFleet) {
+  constexpr std::size_t kShards = 2;
+  const std::size_t n = kShards * kVerticesPerTenant;
+  const Partitioner partitioner = TenantPartitioner(kVerticesPerTenant);
+  for (const bool dg : {false, true}) {
+    const int units = dg ? 4 : 1;
+    std::vector<Edge> history = TailStars(units);
+    const std::vector<Edge> cross = TailCross(units);
+    history.insert(history.end(), cross.begin(), cross.end());
+    for (std::size_t per_worker : {1, 2}) {
+      SCOPED_TRACE(std::string(dg ? "DG" : "DW") +
+                   ", partitions per worker: " + std::to_string(per_worker));
+      ShardedDetectionServiceOptions options;
+      options.partitioner = partitioner;
+      options.rebalance.partitions_per_shard = per_worker;
+      const auto build = [&] {
+        auto fleet = std::make_unique<ShardedDetectionService>(
+            BuildEmptyShards(kShards, n, dg ? MakeDG() : MakeDW()), nullptr,
+            options);
+        SubmitAll(fleet.get(), history);
+        fleet->Drain();
+        return fleet;
+      };
+      auto live = build();
+      const GlobalCommunity stitched = live->StitchNow();
+      ASSERT_TRUE(stitched.stitched);
+      EXPECT_NEAR(stitched.density, units * 52.25 / 4, 1e-9);
+      EXPECT_EQ(Sorted(stitched.members),
+                Sorted({kTailHa, kTailL1, kTailHb, kTailL2}));
+
+      // The seam is partly buffered: some buffered edge joins two
+      // stitched members, and the Drain and the stitch pass left it there.
+      std::size_t seam_buffered = 0;
+      for (std::size_t pid = 0; pid < live->num_partitions(); ++pid) {
+        ASSERT_TRUE(live->InspectPartition(pid, [&](const Spade& spade) {
+                          testing::ExpectSameCommunity(
+                              PeelStatic(testing::GraphWithBuffer(spade))
+                                  .DetectCommunity(),
+                              spade.peel_state().DetectCommunity());
+                          for (const Edge& e : spade.benign_buffer()) {
+                            const auto& m = stitched.members;
+                            if (std::count(m.begin(), m.end(), e.src) > 0 &&
+                                std::count(m.begin(), m.end(), e.dst) > 0) {
+                              ++seam_buffered;
+                            }
+                          }
+                        })
+                        .ok());
+      }
+      EXPECT_GT(seam_buffered, 0u);
+      // Each worker publishes its densest partition (ties: by density).
+      for (std::size_t s = 0; s < live->num_shards(); ++s) {
+        double densest = 0.0;
+        for (std::size_t pid = 0; pid < live->num_partitions(); ++pid) {
+          if (live->PartitionShard(pid) != s) continue;
+          ASSERT_TRUE(live->InspectPartition(pid, [&](const Spade& spade) {
+                            densest = std::max(
+                                densest,
+                                PeelStatic(testing::GraphWithBuffer(spade))
+                                    .BestDensity());
+                          })
+                          .ok());
+        }
+        EXPECT_NEAR(live->ShardCommunity(s).density, densest,
+                    1e-9 * std::max(1.0, densest))
+            << "shard " << s;
+      }
+
+      auto folded = build();
+      const std::string dir = ::testing::TempDir() + "/drain_stitch_folded";
+      std::filesystem::remove_all(dir);
+      ASSERT_TRUE(folded->SaveState(dir).ok());
+      ASSERT_EQ(PendingBenignEdges(*folded), 0u);
+      const GlobalCommunity want = folded->StitchNow();
+      EXPECT_EQ(want.stitched, stitched.stitched);
+      EXPECT_NEAR(stitched.density, want.density,
+                  1e-9 * std::max(1.0, want.density));
+      EXPECT_EQ(Sorted(stitched.members), Sorted(want.members));
+      std::filesystem::remove_all(dir);
+    }
   }
 }
 

@@ -364,7 +364,7 @@ DeltaSegment MakeSegment() {
   segment.epoch = 5;
   segment.records.push_back(DeltaRecord::Insert({1, 2, 3.5, 10}));
   segment.records.push_back(DeltaRecord::Insert({7, 1, 0.25, 11}));
-  segment.records.push_back(DeltaRecord::Flush());
+  segment.records.push_back(DeltaRecord::Retire({1, 2, 3.5, 10}));
   segment.records.push_back(DeltaRecord::Insert({2, 9, 1.0, 12}));
   return segment;
 }
@@ -381,10 +381,11 @@ TEST_F(DeltaSegmentTest, RoundTrip) {
   EXPECT_EQ(read.prev_epoch, 4u);
   EXPECT_EQ(read.epoch, 5u);
   ASSERT_EQ(read.records.size(), 4u);
-  EXPECT_FALSE(read.records[0].flush);
+  EXPECT_FALSE(read.records[0].retire);
   EXPECT_EQ(read.records[0].edge, (Edge{1, 2, 3.5, 10}));
-  EXPECT_TRUE(read.records[2].flush);
-  EXPECT_EQ(read.NumEdges(), 3u);
+  EXPECT_TRUE(read.records[2].retire);
+  EXPECT_EQ(read.records[2].edge, (Edge{1, 2, 3.5, 10}));
+  EXPECT_FALSE(read.records[3].retire);
 }
 
 TEST_F(DeltaSegmentTest, EveryTruncationIsDetected) {

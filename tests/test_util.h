@@ -1,8 +1,8 @@
 // Shared helpers for the Spade test suites: random graph construction with
 // exactly-representable weights, reference validators for peeling
 // sequences, the shard list of a single-node service, an audit of a
-// fleet's boundary weights against its graphs, and a checkpoint edit that
-// leaves a restore with benign-buffered edges.
+// fleet's boundary weights against its graphs, and the graph a detector
+// would hold with its benign buffer folded in.
 
 #pragma once
 
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,8 +23,6 @@
 #include "peel/indexed_heap.h"
 #include "peel/peel_state.h"
 #include "service/sharded_detection_service.h"
-#include "storage/delta_segment.h"
-#include "storage/sharded_snapshot.h"
 
 namespace spade::testing {
 
@@ -112,24 +109,26 @@ inline void ExpectBoundaryWeightsMatchGraphs(ShardedDetectionService* service,
   }
 }
 
-/// Drops the trailing flush marker of every partition's epoch-`epoch`
-/// segment in `dir`. Without it, a segment's trailing benign edges replay
-/// into the benign buffer instead of the graph — the state a save leaves
-/// when new applies race its drain.
-inline void StripFinalFlushMarkers(const std::string& dir,
-                                   std::size_t partitions,
-                                   std::uint64_t epoch) {
-  for (std::size_t pid = 0; pid < partitions; ++pid) {
-    const std::string path =
-        (std::filesystem::path(dir) / ShardDeltaFileName(pid, epoch))
-            .string();
-    DeltaSegment segment;
-    ASSERT_TRUE(ReadDeltaSegment(path, &segment).ok());
-    if (!segment.records.empty() && segment.records.back().flush) {
-      segment.records.pop_back();
-    }
-    ASSERT_TRUE(WriteDeltaSegment(path, segment).ok());
+/// Every edge `spade` has applied: its graph with the benign buffer added
+/// (a copy; the detector keeps its buffer).
+inline DynamicGraph GraphWithBuffer(const Spade& spade) {
+  DynamicGraph g = spade.graph();
+  for (const Edge& e : spade.benign_buffer()) {
+    EXPECT_TRUE(g.AddEdge(e.src, e.dst, e.weight).ok());
   }
+  return g;
+}
+
+/// Expects `got` to be `want`: the same members, and densities equal
+/// within 1e-9 relative.
+inline void ExpectSameCommunity(const Community& want, const Community& got) {
+  std::vector<VertexId> wm = want.members;
+  std::vector<VertexId> gm = got.members;
+  std::sort(wm.begin(), wm.end());
+  std::sort(gm.begin(), gm.end());
+  EXPECT_EQ(wm, gm);
+  EXPECT_NEAR(got.density, want.density,
+              1e-9 * std::max(1.0, std::abs(want.density)));
 }
 
 /// Asserts two peel states are identical (same sequence, deltas within eps).
