@@ -1,8 +1,6 @@
-// simd: the shared vector-kernel shim for the peel hot path.
+// simd: the fixed-order kernels of the peel hot path.
 //
-// Three width-agnostic kernels back PeelState's blocked detection index and
-// the heap rebuild, each implemented once per dispatch target (scalar,
-// SSE2, NEON, AVX2) behind a compile-time switch:
+// Two kernels back PeelState's blocked detection index:
 //
 //  * FixedOrderSum    — reduction over a span of doubles in the CANONICAL
 //                       LANE-THEN-TREE ORDER (below), used for block-sum
@@ -10,29 +8,23 @@
 //  * SuffixScanBlock  — tail-to-head inclusive suffix scan in the canonical
 //                       4-lane Hillis-Steele order, the pre-pass feeding the
 //                       hull rebuild's scalar monotone stack.
-//  * IotaU32          — ascending uint32 fill, the vectorized leaf pass of
-//                       the heap's Floyd heapify.
 //
-// Bit-identity contract. Floating-point addition is not associative, so a
-// vectorized reduction only reproduces the scalar result if BOTH commit to
-// one fixed association order. The canonical orders are defined in terms of
-// a FIXED logical lane count (8 for the sum, 4 for the scan) independent of
-// the physical vector width; every target — including the scalar fallback,
-// which is always built and is the tie-exactness reference for the
-// differential suites — evaluates the identical expression tree, so Detect
-// is bit-identical across scalar/SSE2/NEON/AVX2 builds. The dispatch-target
-// tests iterate CompiledSimdTargets() and assert exactly that.
+// Fixed-order contract. Floating-point addition is not associative, so
+// Detect is only reproducible if every block sum commits to one fixed
+// association order. The canonical orders below are that order: a cached
+// block sum is bit-identical whichever refresh path computed it, and the
+// tie-exactness suites compare Detect bit-for-bit against the naive scan.
+// The orders are written as independent lane chains (16 for the sum, 4 for
+// the scan) so the compiler can keep several adds in flight and vectorize
+// them without changing a single bit of the result.
 //
 //  Canonical sum order (kSumLanes = 16): sixteen logical accumulators
 //  stride the span head-to-tail, acc[j] += p[16*g + j]; the tail remainder
 //  r = n%16 adds p[n - r + j] into acc[j] for j < r; the final value is the
 //  fixed tree (((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))) +
-//  (((a8+a9)+(a10+a11)) + ((a12+a13)+(a14+a15))) — see detail::
-//  FixedOrderTree, the single definition every target calls. AVX2 holds the
-//  lanes in four ymm registers, SSE2/NEON in eight 2-lane registers, scalar
-//  in sixteen locals — the same tree either way. Sixteen lanes (not eight)
-//  so the widest target is bound by load throughput rather than by the
-//  4-5 cycle FP-add dependency of fewer, longer accumulator chains.
+//  (((a8+a9)+(a10+a11)) + ((a12+a13)+(a14+a15))). Sixteen chains, not one,
+//  so the loop is bound by load throughput rather than by the 4-5 cycle
+//  FP-add latency of a single accumulator.
 //
 //  Canonical scan order (kScanLanes = 4): groups of four are anchored at
 //  the TAIL and processed tail-to-head with a running carry C (the suffix
@@ -40,41 +32,16 @@
 //  steps give s3 = d3, s2 = d2+d3, s1 = (d1+d2)+d3, s0 = (d0+d1)+(d2+d3),
 //  and the stored values are s_i + C; the next carry is s0 + C. The head
 //  remainder (n % 4 elements) is sequential: out[i] = p[i] + out[i+1].
-//
-// Dispatch policy. The active target is chosen at compile time by the
-// SPADE_SIMD CMake option (auto / avx2 / sse2 / off): AVX2 kernels live in
-// their own translation unit (src/common/simd_avx2.cc) which is the ONLY TU
-// built with -mavx2, so the rest of the build stays portable; SSE2 and NEON
-// are baseline ISA on x86-64 / AArch64 and live in simd.cc directly. Tests
-// and benches can also pin a target at runtime through the kernel table
-// (CompiledSimdTargets) or the override seam (SetSimdTargetForTesting) —
-// the override is a single predictable branch per out-of-line kernel call,
-// invisible next to the O(block) work behind it.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
 
 namespace spade::simd {
 
-/// Logical lane counts of the canonical orders (NOT the physical vector
-/// width — every target emulates exactly these).
+/// Logical lane counts of the canonical orders.
 inline constexpr std::size_t kSumLanes = 16;
 inline constexpr std::size_t kScanLanes = 4;
-
-namespace detail {
-/// The canonical reduction tree over the sixteen lane accumulators. Every
-/// dispatch target spills its registers into acc[] and finishes here, so
-/// the association order has exactly one definition.
-inline double FixedOrderTree(const double acc[kSumLanes]) {
-  return (((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-          ((acc[4] + acc[5]) + (acc[6] + acc[7]))) +
-         (((acc[8] + acc[9]) + (acc[10] + acc[11])) +
-          ((acc[12] + acc[13]) + (acc[14] + acc[15])));
-}
-}  // namespace detail
 
 /// Best-effort cache-line prefetch for read (locality hint 3). A no-op on
 /// compilers without the builtin.
@@ -86,46 +53,48 @@ inline double FixedOrderTree(const double acc[kSumLanes]) {
 #define SPADE_PREFETCH_WRITE(addr) ((void)0)
 #endif
 
-/// Sum of `p[0..n)` in the canonical lane-then-tree order, dispatched to
-/// the active target.
-double FixedOrderSum(const double* p, std::size_t n);
+/// Sum of `p[0..n)` in the canonical lane-then-tree order.
+inline double FixedOrderSum(const double* p, std::size_t n) {
+  double acc[kSumLanes] = {};
+  const std::size_t ng = n - n % kSumLanes;
+  for (std::size_t i = 0; i < ng; i += kSumLanes) {
+    for (std::size_t j = 0; j < kSumLanes; ++j) acc[j] += p[i + j];
+  }
+  for (std::size_t j = 0; j + ng < n; ++j) acc[j] += p[ng + j];
+  return (((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+          ((acc[4] + acc[5]) + (acc[6] + acc[7]))) +
+         (((acc[8] + acc[9]) + (acc[10] + acc[11])) +
+          ((acc[12] + acc[13]) + (acc[14] + acc[15])));
+}
 
 /// Inclusive tail-to-head suffix scan in the canonical 4-lane order:
 /// out[i] = p[i] + out[i+1] association as defined above. `out` may not
 /// alias `p`. Returns out[0] (the span total in scan order — which may
 /// differ from FixedOrderSum by ulps; callers must not mix the two as if
 /// bit-equal).
-double SuffixScanBlock(const double* p, std::size_t n, double* out);
-
-/// out[i] = start + i for i in [0, n).
-void IotaU32(std::uint32_t* out, std::size_t n, std::uint32_t start);
-
-/// One dispatch target's kernel set, for tests and benches that sweep
-/// scalar vs vector explicitly.
-struct SimdTarget {
-  const char* name;  // "scalar", "sse2", "neon", "avx2"
-  double (*fixed_order_sum)(const double*, std::size_t);
-  double (*suffix_scan_block)(const double*, std::size_t, double*);
-  void (*iota_u32)(std::uint32_t*, std::size_t, std::uint32_t);
-};
-
-/// Every target compiled into this binary, scalar first. The active
-/// dispatch target is always present.
-std::span<const SimdTarget> CompiledSimdTargets();
-
-/// Name of the target the plain FixedOrderSum/SuffixScanBlock/IotaU32
-/// entry points dispatch to (compile-time choice, or the testing override).
-const char* ActiveSimdTarget();
-
-/// Test/bench seam: routes the dispatched entry points through `target`
-/// (one of CompiledSimdTargets(), or nullptr to restore the compile-time
-/// choice). Not thread-safe; only for single-threaded harness setup.
-void SetSimdTargetForTesting(const SimdTarget* target);
-
-/// Rounds `n` up to a multiple of the canonical sum lane count — handy for
-/// sizing scratch buffers so vector loops never need a masked tail.
-inline constexpr std::size_t RoundUpLanes(std::size_t n) {
-  return (n + kSumLanes - 1) / kSumLanes * kSumLanes;
+inline double SuffixScanBlock(const double* p, std::size_t n, double* out) {
+  double carry = 0.0;
+  const std::size_t rem = n % kScanLanes;
+  std::size_t i = n;
+  while (i > rem) {
+    i -= kScanLanes;
+    const double d0 = p[i + 0], d1 = p[i + 1], d2 = p[i + 2], d3 = p[i + 3];
+    // Two Hillis-Steele steps. The `+ 0.0` terms are the zeros a lane shift
+    // moves in; they turn a -0.0 lane into +0.0, so they are part of the
+    // canonical order and stay.
+    const double a0 = d0 + d1, a1 = d1 + d2, a2 = d2 + d3, a3 = d3 + 0.0;
+    const double s0 = a0 + a2, s1 = a1 + a3, s2 = a2 + 0.0, s3 = a3 + 0.0;
+    out[i + 0] = s0 + carry;
+    out[i + 1] = s1 + carry;
+    out[i + 2] = s2 + carry;
+    out[i + 3] = s3 + carry;
+    carry = out[i + 0];
+  }
+  while (i-- > 0) {
+    carry = p[i] + carry;
+    out[i] = carry;
+  }
+  return n > 0 ? out[0] : 0.0;
 }
 
 }  // namespace spade::simd

@@ -26,17 +26,16 @@
 //    a detection after an update costs O(rewritten span + (n/B) log B)
 //    instead of O(n). Assign/BumpDelta dirty only the block they touch.
 //
-// SIMD & layout (DESIGN.md §8): the per-slot storage is fully SoA —
-// seq_/delta_/pos_ are parallel arrays, and the hull arena is split into
-// hull_y_/hull_x_/hull_slot_ so the hull binary search streams only the
-// 12 bytes per point it compares (y, x) and touches the slot array once,
-// at the winner. Block-sum refresh and SuffixWeight tails go through
+// Layout and fixed-order kernels (DESIGN.md §8): the per-slot storage is
+// fully SoA — seq_/delta_/pos_ are parallel arrays, and the hull arena is
+// split into hull_y_/hull_x_/hull_slot_ so the hull binary search streams
+// only the 12 bytes per point it compares (y, x) and touches the slot array
+// once, at the winner. Block-sum refresh and SuffixWeight tails go through
 // simd::FixedOrderSum and the hull rebuild through a simd::SuffixScanBlock
 // pre-pass feeding the scalar monotone stack; both kernels evaluate one
-// fixed association order on every dispatch target (scalar/SSE2/NEON/
-// AVX2), so Detect is bit-identical across builds. At B = 512 a block is a
-// natural vector tile: 4 KB of deltas, refreshed without touching seq_ or
-// pos_ at all.
+// fixed association order, so a cached block sum is bit-identical whichever
+// path refreshed it. At B = 512 a block is 4 KB of deltas, refreshed
+// without touching seq_ or pos_ at all.
 
 #pragma once
 
@@ -173,7 +172,7 @@ class PeelState {
 
   /// f(S_k): suffix sum of delta from position k (0 => whole graph weight).
   /// Costs O(B + n/B) via the cached block sums; the partial-block tail is
-  /// one vector kernel call.
+  /// one fixed-order kernel call.
   double SuffixWeight(std::size_t k) const {
     const std::size_t end = seq_.size();
     std::size_t p = base_ + k;
@@ -296,8 +295,7 @@ class PeelState {
     const std::size_t lo = std::max(b * kBlock, base_);
     const std::size_t hi = std::min((b + 1) * kBlock, end);
     // Same fixed-order kernel as the full rebuild, so the cached sum is
-    // bit-identical regardless of which refresh path ran last — and
-    // identical across every SIMD dispatch target.
+    // bit-identical regardless of which refresh path ran last.
     blk.sum = lo < hi ? simd::FixedOrderSum(delta_.data() + lo, hi - lo) : 0.0;
     blk.sum_built = sum_version_;
     if (blk.dirty) {
@@ -307,7 +305,7 @@ class PeelState {
   }
 
   /// Recomputes a block's sum and upper hull if stale. The within-block
-  /// suffix sums come from a vectorized scan pre-pass into scan_scratch_;
+  /// suffix sums come from a scan pre-pass into scan_scratch_;
   /// the monotone stack then runs scalar over precomputed (x, y) pairs —
   /// its pops are data-dependent and branchy, but it no longer carries the
   /// accumulation chain. Hull points land in the SoA arenas at stride

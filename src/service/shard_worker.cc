@@ -259,9 +259,10 @@ std::size_t ShardWorker::OfferBatch(std::span<const Edge> edges) {
 }
 
 Status ShardWorker::SubmitRetire(Timestamp horizon) {
-  if (!options_.track_window) {
+  if (!Windowed()) {
     return Status::FailedPrecondition(
-        "ShardWorker::SubmitRetire: worker was built without track_window");
+        "ShardWorker::SubmitRetire: worker was built without a retire "
+        "callback");
   }
   if (stopping_flag_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("ShardWorker is stopped");
@@ -768,7 +769,7 @@ Status ShardWorker::ReplayChainLocked(Partition& p,
         double applied = 0;
         SPADE_RETURN_NOT_OK(
             p.spade.ApplyEdgeDeferred(record.edge, &applied).status());
-        if (options_.track_window) {
+        if (Windowed()) {
           p.window_log.push_back(Edge{record.edge.src, record.edge.dst,
                                       applied, record.edge.ts});
         }
@@ -886,7 +887,7 @@ Status ShardWorker::ReplayRetireLocked(Partition& p, const Edge& record) {
       std::find_if(p.window_log.begin(), p.window_log.end(), matches);
   if (it != p.window_log.end()) {
     p.window_log.erase(it);
-  } else if (options_.track_window) {
+  } else if (Windowed()) {
     SPADE_LOG_WARNING()
         << "ShardWorker replay: retire record not found in window log";
   }
@@ -962,7 +963,7 @@ bool ShardWorker::ApplyOne(const Edge& edge) {
     if (changed.ok()) {
       AppendDeltaRecord(*p, DeltaRecord::Insert(edge));
       const Edge weighted{edge.src, edge.dst, applied, edge.ts};
-      if (options_.track_window) p->window_log.push_back(weighted);
+      if (Windowed()) p->window_log.push_back(weighted);
       CountBoundaryLocked(*p, weighted, +1, /*live=*/true);
       processed_.fetch_add(1, std::memory_order_relaxed);
       ++p->since_detect;

@@ -189,10 +189,6 @@ struct DetectionServiceOptions {
   /// stops checkpointing must not grow without bound: at the cap the log
   /// is dropped and the next checkpoint falls back to a full snapshot.
   std::size_t max_delta_log = 1 << 20;
-  /// Keep a per-edge window log (applied weight + event timestamp, arrival
-  /// order) so SubmitRetire can expire edges. Off by default: an
-  /// insert-only worker pays nothing for the window machinery.
-  bool track_window = false;
 };
 
 /// One worker: a background thread draining a chunk-handoff ring through a
@@ -226,8 +222,8 @@ class ShardWorker {
     bool delta_tracking = false;
     bool delta_overflow = false;
     std::vector<DeltaRecord> delta_log;
-    /// Window log (track_window only): applied edges in arrival order with
-    /// applied weight + event timestamp.
+    /// Window log (windowed workers only, see the constructor): applied
+    /// edges in arrival order with applied weight + event timestamp.
     std::deque<Edge> window_log;
     /// Latest detected community for this partition (feeds the worker's
     /// published argmax snapshot).
@@ -260,8 +256,10 @@ class ShardWorker {
   /// warning — only sound when partitions never move). `cpu` pins the
   /// worker thread (-1 = unpinned; Linux-only — elsewhere, and for CPUs
   /// that do not exist, the worker logs a warning and runs unpinned).
-  /// `on_retire` (optional) fires around every retire pass that removes at
-  /// least one edge (see RetireNotifyFn); `is_boundary` (optional; null =
+  /// `on_retire` (optional) makes the worker windowed: it keeps a window
+  /// log so SubmitRetire can expire edges, and the callback fires around
+  /// every retire pass that removes at least one edge (see RetireNotifyFn);
+  /// null = insert-only, no window log. `is_boundary` (optional; null =
   /// no boundary weights) classifies edges for Partition::boundary (see
   /// BoundaryFn). `slab_pool` (optional) receives consumed batch slabs for
   /// recycling.
@@ -324,11 +322,11 @@ class ShardWorker {
   /// record for the delta chain. The marker rides the same ring as edge
   /// chunks — it costs one unit of queue budget and obeys the same
   /// drain/exactness protocol, so Drain() after a successful SubmitRetire
-  /// implies the retire pass has fully applied. Requires `track_window`;
-  /// each window log is popped oldest-first, so an out-of-timestamp-order
-  /// arrival delays expiry of the edges queued behind it until the horizon
-  /// passes it too (conservative, never over-retires). Same full-queue
-  /// behavior as Submit.
+  /// implies the retire pass has fully applied. Requires a windowed worker
+  /// (one built with `on_retire`); each window log is popped oldest-first,
+  /// so an out-of-timestamp-order arrival delays expiry of the edges queued
+  /// behind it until the horizon passes it too (conservative, never
+  /// over-retires). Same full-queue behavior as Submit.
   Status SubmitRetire(Timestamp horizon);
 
   /// Blocks until every edge submitted before this call has been applied
@@ -825,6 +823,8 @@ class ShardWorker {
   std::atomic<std::uint64_t> busy_ns_{0};
   std::chrono::steady_clock::time_point start_;
   RetireNotifyFn on_retire_;
+  /// A worker built with a retire callback keeps window logs.
+  bool Windowed() const { return on_retire_ != nullptr; }
   BoundaryFn is_boundary_;
   std::shared_ptr<SlabPool> slab_pool_;
 

@@ -152,13 +152,11 @@ ShardedDetectionService::ShardedDetectionService(
     if (on_alert_) {
       shard_alert = [this, i](const Community& c) { on_alert_(i, c); };
     }
-    DetectionServiceOptions worker_options = options_.shard;
     const int cpu = options_.shard_cpus.empty()
                         ? -1
                         : options_.shard_cpus[i % options_.shard_cpus.size()];
     RetireNotifyFn shard_retire;
     if (options_.window.span > 0) {
-      worker_options.track_window = true;
       shard_retire = [this, i](std::size_t) { OnShardRetire(i); };
     }
     ForwardFn forward;
@@ -177,7 +175,7 @@ ShardedDetectionService::ShardedDetectionService(
     }
     workers_.push_back(std::make_unique<ShardWorker>(
         std::move(seeds), num_partitions, partition_of, std::move(forward),
-        std::move(shard_alert), worker_options, cpu, std::move(shard_retire),
+        std::move(shard_alert), options_.shard, cpu, std::move(shard_retire),
         is_boundary, slab_pool_));
   }
   // The interval path runs for a single shard too: a stitch pass there is

@@ -13,11 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "core/incremental_engine.h"
 #include "core/spade.h"
 #include "metrics/semantics.h"
@@ -285,85 +283,42 @@ TEST(BlockedDetectTest, HeadInsertionStressMatchesNaive) {
   }
 }
 
-// Blocked+SIMD detection vs the naive linear scan, exercised on EVERY
-// dispatch target compiled into this binary (the sanitizer legs build
-// scalar-only; the AVX2 CI leg sweeps scalar/sse2/avx2 here). Integer
-// deltas make every density tie exact, so start positions must match the
-// reference scan tie-for-tie, while base_ is steered through mid-block
-// values by head insertions and across GrowFront arena relocations.
-TEST(BlockedDetectTest, DispatchTargetsTieExactAcrossHeadSlackAndGrowth) {
-  for (const auto& target : simd::CompiledSimdTargets()) {
-    SCOPED_TRACE(target.name);
-    simd::SetSimdTargetForTesting(&target);
-    Rng rng(808);
-    for (int trial = 0; trial < 6; ++trial) {
-      const std::size_t n0 = 1 + rng.NextBounded(600);
-      PeelState state(n0);
-      for (std::size_t v = 0; v < n0; ++v) {
-        state.Append(static_cast<VertexId>(v),
-                     static_cast<double>(rng.NextBounded(4)));
-      }
-      VertexId next = static_cast<VertexId>(n0);
-      for (int round = 0; round < 120; ++round) {
-        // A fresh head insertion every round decrements base_ through every
-        // offset within its block and forces several GrowFront relocations
-        // per trial (the arena copy must land blocks/hulls on the new
-        // stride without disturbing tie resolution).
-        state.InsertVertexAtHead(next++,
-                                 static_cast<double>(rng.NextBounded(3)));
-        state.BumpDelta(rng.NextBounded(state.size()),
-                        static_cast<double>(rng.NextBounded(3)));
-        if (round % 7 == 0) {
-          const NaiveBest expect = NaiveScan(state);
-          ASSERT_EQ(expect.start, state.BestStart());
-          ASSERT_DOUBLE_EQ(expect.density, state.BestDensity());
-          double suffix = 0.0;
-          const std::size_t k = rng.NextBounded(state.size() + 1);
-          for (std::size_t i = k; i < state.size(); ++i) {
-            suffix += state.DeltaAt(i);
-          }
-          EXPECT_DOUBLE_EQ(suffix, state.SuffixWeight(k));
+// Blocked detection vs the naive linear scan. Integer deltas make every
+// density tie exact, so start positions must match the reference scan
+// tie-for-tie, while base_ is steered through mid-block values by head
+// insertions and across GrowFront arena relocations.
+TEST(BlockedDetectTest, TieExactAcrossHeadSlackAndGrowth) {
+  Rng rng(808);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n0 = 1 + rng.NextBounded(600);
+    PeelState state(n0);
+    for (std::size_t v = 0; v < n0; ++v) {
+      state.Append(static_cast<VertexId>(v),
+                   static_cast<double>(rng.NextBounded(4)));
+    }
+    VertexId next = static_cast<VertexId>(n0);
+    for (int round = 0; round < 120; ++round) {
+      // A fresh head insertion every round decrements base_ through every
+      // offset within its block and forces several GrowFront relocations
+      // per trial (the arena copy must land blocks/hulls on the new
+      // stride without disturbing tie resolution).
+      state.InsertVertexAtHead(next++,
+                               static_cast<double>(rng.NextBounded(3)));
+      state.BumpDelta(rng.NextBounded(state.size()),
+                      static_cast<double>(rng.NextBounded(3)));
+      if (round % 7 == 0) {
+        const NaiveBest expect = NaiveScan(state);
+        ASSERT_EQ(expect.start, state.BestStart());
+        ASSERT_DOUBLE_EQ(expect.density, state.BestDensity());
+        double suffix = 0.0;
+        const std::size_t k = rng.NextBounded(state.size() + 1);
+        for (std::size_t i = k; i < state.size(); ++i) {
+          suffix += state.DeltaAt(i);
         }
+        EXPECT_DOUBLE_EQ(suffix, state.SuffixWeight(k));
       }
     }
   }
-  simd::SetSimdTargetForTesting(nullptr);
-}
-
-// The bit-identity contract end to end: with continuous (non-integer)
-// deltas, Detect must return the same density BITS on every compiled
-// dispatch target — the whole point of the canonical association orders.
-TEST(BlockedDetectTest, DetectBitIdenticalAcrossDispatchTargets) {
-  const auto targets = simd::CompiledSimdTargets();
-  Rng rng(6060);
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 1 + rng.NextBounded(1400);
-    std::vector<double> deltas(n);
-    for (auto& d : deltas) {
-      d = static_cast<double>(rng.NextBounded(1 << 20)) / 1048576.0 * 3.7;
-    }
-    double ref_density = 0.0;
-    std::size_t ref_start = 0;
-    for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-      simd::SetSimdTargetForTesting(&targets[ti]);
-      PeelState state(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        state.Append(static_cast<VertexId>(v), deltas[v]);
-      }
-      const double density = state.BestDensity();
-      const std::size_t start = state.BestStart();
-      if (ti == 0) {
-        ref_density = density;
-        ref_start = start;
-      } else {
-        EXPECT_EQ(std::memcmp(&density, &ref_density, sizeof density), 0)
-            << targets[ti].name << " vs " << targets[0].name
-            << " trial " << trial;
-        EXPECT_EQ(start, ref_start) << targets[ti].name;
-      }
-    }
-  }
-  simd::SetSimdTargetForTesting(nullptr);
 }
 
 // ------------------------------------------------------------------------

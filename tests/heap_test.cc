@@ -7,6 +7,7 @@
 
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -96,6 +97,37 @@ TEST(IndexedMinHeapTest, ResetClears) {
   h.Reset(4);
   EXPECT_TRUE(h.empty());
   EXPECT_FALSE(h.Contains(1));
+}
+
+// AssignAll replaces whatever the heap held with exactly [0, n): every id
+// is present at its weight, ids past n are gone, the pop order is the
+// canonical (weight, id) order, and the heap stays usable afterwards.
+TEST(IndexedMinHeapTest, AssignAllHoldsExactlyTheAssignedIds) {
+  Rng rng(4242);
+  IndexedMinHeap h(40);
+  h.Push(3, 7.0);
+  h.Push(35, -1.0);
+  for (const std::size_t n : {0u, 1u, 2u, 17u, 30u}) {
+    std::vector<double> weights(n);
+    for (auto& w : weights) w = static_cast<double>(rng.NextBounded(6));
+    h.AssignAll(weights);
+    ASSERT_EQ(h.size(), n);
+    std::set<std::pair<double, VertexId>> model;
+    for (std::size_t v = 0; v < n; ++v) {
+      ASSERT_TRUE(h.Contains(static_cast<VertexId>(v)));
+      EXPECT_DOUBLE_EQ(h.WeightOf(static_cast<VertexId>(v)), weights[v]);
+      model.emplace(weights[v], static_cast<VertexId>(v));
+    }
+    EXPECT_EQ(h.Contains(3), n > 3);
+    EXPECT_FALSE(h.Contains(35));
+    h.Push(35, 2.5);
+    model.emplace(2.5, 35);
+    for (const auto& [w, v] : model) {
+      ASSERT_DOUBLE_EQ(h.TopWeight(), w);
+      ASSERT_EQ(h.Pop(), v);
+    }
+    EXPECT_TRUE(h.empty());
+  }
 }
 
 // Differential test: random pushes/pops/updates/erases mirrored against a

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -164,65 +163,28 @@ TEST(PeelStateTest, ClearResets) {
   EXPECT_FALSE(state.ContainsVertex(1));
 }
 
-// ------------------------------------------------------------------------
-// SIMD kernel dispatch: every target compiled into this binary must produce
-// results bit-identical to the always-built scalar reference (the canonical
-// association orders of common/simd.h). memcmp, not EXPECT_DOUBLE_EQ — the
-// contract is exact bits, signed zeros included.
-// ------------------------------------------------------------------------
-
-TEST(SimdKernelTest, CompiledTargetsBitIdenticalToScalar) {
+// The fixed-order kernels on integer-valued data, where every association
+// order gives the exact sum: the lane loop, its remainder and the scan's
+// head remainder must each cover every element exactly once.
+TEST(FixedOrderKernelTest, ExactOnIntegerDataAtEveryRemainder) {
   Rng rng(77);
-  const auto targets = simd::CompiledSimdTargets();
-  ASSERT_FALSE(targets.empty());
-  ASSERT_STREQ(targets[0].name, "scalar");
-  // Lengths straddling both lane counts, the block width, and zero.
-  const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
-                                 13, 31, 100, 511, 512, 513};
+  std::vector<std::size_t> lengths = {511, 512, 513};
+  for (std::size_t n = 0; n <= 2 * simd::kSumLanes + 1; ++n) {
+    lengths.push_back(n);
+  }
   for (const std::size_t n : lengths) {
     std::vector<double> data(n);
-    for (auto& d : data) {
-      d = static_cast<double>(rng.NextBounded(1000)) / 8.0 - 60.0;
+    for (auto& d : data) d = static_cast<double>(rng.NextBounded(1000)) - 500;
+    std::vector<double> scan(n);
+    const double head = simd::SuffixScanBlock(data.data(), n, scan.data());
+    double suffix = 0.0;
+    for (std::size_t i = n; i-- > 0;) {
+      suffix += data[i];
+      ASSERT_EQ(scan[i], suffix) << "n=" << n << " i=" << i;
     }
-    // Shuffled-in zero lanes must not flip a -0.0 to +0.0 on any target.
-    if (n > 2) data[n / 2] = -0.0;
-    if (n > 0) data[n - 1] = -0.0;
-    std::vector<double> ref_scan(n);
-    const double ref_sum = targets[0].fixed_order_sum(data.data(), n);
-    const double ref_head =
-        targets[0].suffix_scan_block(data.data(), n, ref_scan.data());
-    for (const auto& t : targets) {
-      const double sum = t.fixed_order_sum(data.data(), n);
-      EXPECT_EQ(std::memcmp(&sum, &ref_sum, sizeof sum), 0)
-          << t.name << " sum, n=" << n;
-      std::vector<double> scan(n);
-      const double head = t.suffix_scan_block(data.data(), n, scan.data());
-      EXPECT_EQ(std::memcmp(&head, &ref_head, sizeof head), 0)
-          << t.name << " scan head, n=" << n;
-      EXPECT_EQ(std::memcmp(scan.data(), ref_scan.data(),
-                            n * sizeof(double)),
-                0)
-          << t.name << " scan body, n=" << n;
-      std::vector<std::uint32_t> iota(n, 0xDEADBEEFu);
-      t.iota_u32(iota.data(), n, 17);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(iota[i], 17u + i) << t.name << " iota, n=" << n;
-      }
-    }
+    EXPECT_EQ(head, suffix) << "n=" << n;
+    EXPECT_EQ(simd::FixedOrderSum(data.data(), n), suffix) << "n=" << n;
   }
-}
-
-TEST(SimdKernelTest, TestingOverrideRedirectsDispatch) {
-  const auto targets = simd::CompiledSimdTargets();
-  const char* compile_time = simd::ActiveSimdTarget();
-  for (const auto& t : targets) {
-    simd::SetSimdTargetForTesting(&t);
-    EXPECT_STREQ(simd::ActiveSimdTarget(), t.name);
-    const double one = 1.0;
-    EXPECT_DOUBLE_EQ(simd::FixedOrderSum(&one, 1), 1.0);
-  }
-  simd::SetSimdTargetForTesting(nullptr);
-  EXPECT_STREQ(simd::ActiveSimdTarget(), compile_time);
 }
 
 TEST(DensityTest, SubgraphWeightFromDefinition) {

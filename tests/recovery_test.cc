@@ -56,7 +56,8 @@ std::vector<Edge> RandomChunk(Rng* rng, std::size_t n) {
 
 std::unique_ptr<ShardedDetectionService> BuildService(
     const std::vector<Edge>& initial, std::size_t restore_threads = 0,
-    Timestamp window_span = 0) {
+    Timestamp window_span = 0,
+    std::size_t max_delta_log = DetectionServiceOptions{}.max_delta_log) {
   std::vector<std::vector<Edge>> parts(kShards);
   for (const Edge& e : initial) parts[e.src % kShards].push_back(e);
   std::vector<Spade> shards;
@@ -74,6 +75,7 @@ std::unique_ptr<ShardedDetectionService> BuildService(
   options.checkpoint.max_delta_base_ratio = 1e9;
   options.restore_threads = restore_threads;
   options.window.span = window_span;
+  options.shard.max_delta_log = max_delta_log;
   auto service = std::make_unique<ShardedDetectionService>(
       std::move(shards), nullptr, std::move(options));
   return service;
@@ -488,6 +490,62 @@ TEST_F(RecoveryTest, TornManifestOrBaseFailsCleanlyWithoutSideEffects) {
 // without the stamp, restore silently replayed the old delta chain onto
 // the newer base (every CRC valid, duplicate edges, a state no checkpoint
 // ever held).
+// A partition whose delta log passes max_delta_log drops it. A forced
+// delta save must then fail with kFailedPrecondition, an auto save must
+// fall back to a full base (reported as compacted), and that base must
+// restore to the live fleet.
+TEST_F(RecoveryTest, DeltaLogOverflowFallsBackToFullBase) {
+  constexpr std::size_t kMaxDeltaLog = 16;
+  Rng rng(515);
+  const std::vector<Edge> initial = RandomChunk(&rng, kInitialEdges);
+  // Each shard applies about half of a chunk, well past the cap.
+  const std::vector<Edge> chunk = RandomChunk(&rng, kChunkEdges);
+  ASSERT_GT(chunk.size() / kShards, 2 * kMaxDeltaLog);
+  ShardedDetectionService::SaveInfo info;
+
+  auto forced = BuildService(initial, /*restore_threads=*/0,
+                             /*window_span=*/0, kMaxDeltaLog);
+  ASSERT_TRUE(forced
+                  ->SaveState(dir_, ShardedDetectionService::SaveMode::kFull,
+                              &info)
+                  .ok());
+  ASSERT_TRUE(forced->SubmitBatch(chunk).ok());
+  forced->Drain();
+  const Status delta =
+      forced->SaveState(dir_, ShardedDetectionService::SaveMode::kDelta);
+  EXPECT_EQ(delta.code(), StatusCode::kFailedPrecondition)
+      << delta.ToString();
+
+  auto fleet = BuildService(initial, /*restore_threads=*/0,
+                            /*window_span=*/0, kMaxDeltaLog);
+  ASSERT_TRUE(fleet
+                  ->SaveState(work_, ShardedDetectionService::SaveMode::kFull,
+                              &info)
+                  .ok());
+  ASSERT_EQ(info.epoch, 1u);
+  ASSERT_TRUE(fleet->SubmitBatch(chunk).ok());
+  fleet->Drain();
+  ASSERT_TRUE(fleet
+                  ->SaveState(work_, ShardedDetectionService::SaveMode::kAuto,
+                              &info)
+                  .ok());
+  EXPECT_FALSE(info.delta);
+  EXPECT_TRUE(info.compacted);
+  EXPECT_EQ(info.epoch, 2u);
+  EXPECT_EQ(info.chain_length, 0u);
+  const auto live = CaptureShards(*fleet);
+
+  auto victim = BuildService(initial);
+  ShardedDetectionService::RestoreInfo rinfo;
+  ASSERT_TRUE(victim->RestoreState(work_, &rinfo).ok());
+  EXPECT_EQ(rinfo.restored_epoch, 2u);
+  EXPECT_EQ(rinfo.delta_edges_replayed, 0u);
+  const auto restored = CaptureShards(*victim);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    testing::ExpectShardEqualsCapture(live[s], restored[s]);
+  }
+}
+
 TEST_F(RecoveryTest, CrashedCompactionLeavesPreviousCheckpointRestorable) {
   LiveRun run = RunAndCheckpoint(dir_, 2, /*seed=*/808);
 
