@@ -5,7 +5,7 @@
 // on a latch (the same consumer-parked technique the backpressure tests
 // use). With consumers parked and the queue budget sized to hold the whole
 // stream, the producers' wall time measures exactly the router→worker
-// handoff — partitioner evaluations, budget claims, ring publishes — with
+// handoff — partitioner evaluations, queue-mutex pushes — with
 // no interference from apply work (which matters especially when
 // cores < shards and workers would otherwise time-share the producers'
 // CPUs). Boundary weights update on the worker side of the handoff —
@@ -14,11 +14,10 @@
 // reported alongside.
 //
 // Modes per configuration:
-//   * per-edge  — every edge goes through Submit(), paying the partitioner,
-//     the queue-budget claim and the ring cell individually. This is the
-//     PR's baseline.
+//   * per-edge  — every edge goes through Submit(), paying the partitioner
+//     and the queue-mutex push individually. This is the baseline.
 //   * batched   — SubmitBatch chunks of 1024 edges: one RouterScratch
-//     partition pass, one lock-free ring handoff per shard per chunk.
+//     partition pass, one queued chunk per shard per chunk.
 //
 // A final pinned run repeats the best configuration with shard workers
 // pinned round-robin onto the available cores (ShardedDetectionService-
@@ -61,10 +60,10 @@ struct IngestConfig {
   std::size_t tenants = 8;
   std::size_t vertices_per_tenant = 4096;
   std::size_t initial_per_tenant = 2000;
-  /// Kept below the 65536-slab ring bound per shard, so neither handoff
-  /// mode throttles during the admission phase even at 1 shard — the
-  /// admission comparison then measures the router+handoff cost itself,
-  /// not queue backpressure.
+  /// With the queue budget sized to the whole stream, neither handoff mode
+  /// throttles during the admission phase even at 1 shard — the admission
+  /// comparison then measures the router+handoff cost itself, not queue
+  /// backpressure.
   std::size_t stream_per_tenant = 8000;
   /// Fraction (per mille) of stream edges rewired to a cross-tenant
   /// destination, so the workers' boundary-weight updates (and the

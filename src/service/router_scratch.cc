@@ -6,44 +6,9 @@
 namespace spade {
 
 void RouterScratch::Partition(const Partitioner& partitioner,
-                              std::size_t num_shards,
-                              std::span<const Edge> edges) {
-  SPADE_CHECK(num_shards > 0);
-  num_shards_ = num_shards;
-  const std::size_t m = edges.size();
-  shard_of_.resize(m);
-  counts_.assign(num_shards, 0);
-
-  // Pass 1: one routing evaluation per edge.
-  for (std::size_t i = 0; i < m; ++i) {
-    const Edge& e = edges[i];
-    std::size_t shard = 0;
-    if (num_shards > 1) {
-      shard = partitioner.routes_by_src_home
-                  ? partitioner.home(e.src) % num_shards
-                  : partitioner.edge_key(e) % num_shards;
-    }
-    shard_of_[i] = static_cast<std::uint32_t>(shard);
-    ++counts_[shard];
-  }
-
-  // Pass 2: stable counting-sort placement, straight into per-shard slab
-  // vectors sized exactly (one reserve each; TakePart hands the slab to
-  // the worker without another copy).
-  parts_.resize(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    parts_[s].clear();
-    parts_[s].reserve(counts_[s]);
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    parts_[shard_of_[i]].push_back(edges[i]);
-  }
-}
-
-void RouterScratch::Partition(const Partitioner& partitioner,
                               const PartitionMap& map,
                               std::size_t num_shards,
-                              std::span<const Edge> edges, SlabPool* pool) {
+                              std::span<const Edge> edges) {
   SPADE_CHECK(num_shards > 0);
   num_shards_ = num_shards;
   const std::size_t m = edges.size();
@@ -71,14 +36,11 @@ void RouterScratch::Partition(const Partitioner& partitioner,
     ++counts_[shard];
   }
 
-  // Pass 2: stable counting-sort placement. A slab whose storage was moved
-  // to a worker by TakePart refills from the recycle pool first, so the
-  // steady-state batched path circulates slabs instead of allocating.
+  // Pass 2: stable counting-sort placement, straight into per-shard slab
+  // vectors sized exactly (one reserve each; TakePart hands the slab to
+  // the worker without another copy).
   parts_.resize(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (pool != nullptr && counts_[s] > 0 && parts_[s].capacity() == 0) {
-      parts_[s] = pool->Get();
-    }
     parts_[s].clear();
     parts_[s].reserve(counts_[s]);
   }

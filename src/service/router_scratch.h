@@ -11,7 +11,7 @@
 //   * a stable counting sort groups the chunk by destination shard
 //     directly into per-shard slab vectors (order within a shard equals
 //     chunk order, preserving the per-producer FIFO contract) — the slab
-//     is then moved into the worker's handoff ring, so each edge is copied
+//     is then moved into the worker's chunk queue, so each edge is copied
 //     exactly once on the whole batched ingest path.
 //
 // A scratch instance is single-threaded (the service keeps one per
@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "common/slab_pool.h"
 #include "graph/types.h"
 
 namespace spade {
@@ -40,21 +39,14 @@ class RouterScratch {
   RouterScratch(const RouterScratch&) = delete;
   RouterScratch& operator=(const RouterScratch&) = delete;
 
-  /// Partitions `edges` over `num_shards` shards with one partitioner pass.
-  /// Overwrites whatever the scratch held before; the spans returned by
-  /// Part() are valid until the next Partition call.
-  void Partition(const Partitioner& partitioner, std::size_t num_shards,
-                 std::span<const Edge> edges);
-
-  /// Rebalance-aware variant: routes by STABLE partition key (reduced
-  /// modulo map.num_partitions()) and indirects through `map` to the
-  /// partition's current owner shard — the reads that make partition moves
-  /// invisible to producers. `pool` (optional) refills slab storage that
-  /// TakePart handed away, so steady-state batched ingest recycles worker-
-  /// consumed slabs instead of allocating fresh ones.
+  /// Partitions `edges` over `num_shards` shards with one partitioner
+  /// pass: routes by STABLE partition key (reduced modulo
+  /// map.num_partitions()) and indirects through `map` to the partition's
+  /// current owner shard — the reads that make partition moves invisible
+  /// to producers. Overwrites whatever the scratch held before; the spans
+  /// returned by Part() are valid until the next Partition call.
   void Partition(const Partitioner& partitioner, const PartitionMap& map,
-                 std::size_t num_shards, std::span<const Edge> edges,
-                 SlabPool* pool = nullptr);
+                 std::size_t num_shards, std::span<const Edge> edges);
 
   std::size_t num_shards() const { return num_shards_; }
 

@@ -21,26 +21,9 @@ std::vector<VertexId> SortedMembers(const Community& c) {
   return sorted;
 }
 
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-/// Ring cell count for a given edge budget: enough cells that slab
-/// exhaustion can only precede budget exhaustion when tens of thousands of
-/// single-edge chunks pile up against a stalled worker (each cell holds at
-/// least one edge, so with cells >= max_queue the budget always binds
-/// first; above the cap, a cell costs ~72 bytes, so 65536 cells keep a
-/// shard's ring under ~5 MB).
-std::size_t RingCellsFor(std::size_t max_queue) {
-  return RoundUpPow2(std::clamp<std::size_t>(max_queue, 2, 65536));
-}
-
 /// Cap on how many edges one gather round merges before applying: keeps
 /// space-freed notifications and Drain progress timely when producers
-/// outrun the worker (the ring itself bounds a single round anyway; this
-/// bounds it tighter).
+/// outrun the worker.
 constexpr std::size_t kGatherCap = 4096;
 
 /// Retry cadence for a parked worker with a nonempty forward backlog: the
@@ -56,25 +39,18 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
                          PartitionOfFn partition_of, ForwardFn forward,
                          FraudAlertFn on_alert,
                          DetectionServiceOptions options, int cpu,
-                         RetireNotifyFn on_retire, BoundaryFn is_boundary,
-                         std::shared_ptr<SlabPool> slab_pool)
+                         RetireNotifyFn on_retire, BoundaryFn is_boundary)
     : options_(options),
       on_alert_(std::move(on_alert)),
-      ring_(RingCellsFor(options.max_queue)),
-      ring_mask_(ring_.size() - 1),
       by_pid_(std::max<std::size_t>(total_partitions, 1), nullptr),
       partition_of_(std::move(partition_of)),
       forward_(std::move(forward)),
       start_(std::chrono::steady_clock::now()),
       on_retire_(std::move(on_retire)),
-      is_boundary_(std::move(is_boundary)),
-      slab_pool_(std::move(slab_pool)) {
+      is_boundary_(std::move(is_boundary)) {
   // Without a partition function every routed edge maps to "the" partition,
   // which only makes sense when there is exactly one.
   SPADE_CHECK(partition_of_ != nullptr || seeds.size() == 1);
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    ring_[i].seq.store(i, std::memory_order_relaxed);
-  }
   // Publish the initial communities before the worker exists, so readers
   // always observe a valid snapshot and the first alert fires only when the
   // stream actually changes a community.
@@ -119,143 +95,29 @@ ShardWorker::ShardWorker(std::vector<PartitionSeed> seeds,
 ShardWorker::~ShardWorker() { Stop(); }
 
 // ---------------------------------------------------------------------------
-// Chunk-handoff ring primitives.
-
-std::size_t ShardWorker::ClaimBudget(std::size_t k, bool allow_partial) {
-  std::size_t cur = queued_edges_.load(std::memory_order_relaxed);
-  std::size_t take = 0;
-  do {
-    const std::size_t free =
-        options_.max_queue - std::min(cur, options_.max_queue);
-    take = allow_partial ? std::min(k, free) : (k <= free ? k : 0);
-    if (take == 0) return 0;
-  } while (!queued_edges_.compare_exchange_weak(
-      cur, cur + take, std::memory_order_seq_cst,
-      std::memory_order_relaxed));
-  const std::size_t depth = cur + take;
-  std::size_t hwm = queue_hwm_recent_.load(std::memory_order_relaxed);
-  while (depth > hwm &&
-         !queue_hwm_recent_.compare_exchange_weak(
-             hwm, depth, std::memory_order_relaxed)) {
-  }
-  return take;
-}
-
-bool ShardWorker::TryClaimBudget(std::size_t k) {
-  return ClaimBudget(k, /*allow_partial=*/false) == k;
-}
-
-std::size_t ShardWorker::TryClaimUpTo(std::size_t k) {
-  return ClaimBudget(k, /*allow_partial=*/true);
-}
-
-void ShardWorker::ReleaseBudget(std::size_t k) {
-  queued_edges_.fetch_sub(k, std::memory_order_seq_cst);
-}
-
-bool ShardWorker::TryPushChunk(Chunk&& chunk) {
-  std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = ring_[pos & ring_mask_];
-    const std::uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const auto dif =
-        static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        cell.chunk = std::move(chunk);
-        // seq_cst publish: pairs with the worker's park-protocol RingReady
-        // load (Dekker — see WakeIfParked).
-        cell.seq.store(pos + 1, std::memory_order_seq_cst);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // ring out of cells
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool ShardWorker::TryPopChunk(Chunk* out) {
-  Cell& cell = ring_[dequeue_pos_ & ring_mask_];
-  if (cell.seq.load(std::memory_order_acquire) != dequeue_pos_ + 1) {
-    return false;
-  }
-  *out = std::move(cell.chunk);
-  cell.chunk = Chunk{};
-  cell.seq.store(dequeue_pos_ + ring_.size(), std::memory_order_release);
-  ++dequeue_pos_;
-  // The handoff is complete: these edges no longer count against the
-  // producer budget (matching the old swap semantics, where the whole
-  // buffer left the depth gauge before it was applied).
-  ReleaseBudget(out->size());
-  return true;
-}
-
-bool ShardWorker::RingReady() const {
-  const Cell& cell = ring_[dequeue_pos_ & ring_mask_];
-  return cell.seq.load(std::memory_order_seq_cst) == dequeue_pos_ + 1;
-}
-
-void ShardWorker::WakeIfParked() {
-  // Wakeup coalescing (Dekker): the producer published its cell seq
-  // (seq_cst) before this load; the worker sets parked_ (seq_cst) before
-  // its RingReady check. Whichever ran second sees the other's write, so
-  // either the worker finds the chunk on its own or we find parked_ set
-  // and wake it — never both asleep.
-  if (parked_.load(std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    work_cv_.notify_one();
-  }
-}
-
-void ShardWorker::NotifySpaceFreed() {
-  // Same Dekker shape as WakeIfParked: producers register in
-  // space_waiters_ (seq_cst) before re-checking the budget; the worker
-  // released budget (seq_cst) before this load.
-  if (space_waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    space_cv_.notify_all();
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Producer paths.
 
 Status ShardWorker::Submit(const Edge& raw_edge) {
-  return EnqueueImpl(std::span<const Edge>(&raw_edge, 1), nullptr);
+  return Enqueue(std::span<const Edge>(&raw_edge, 1), nullptr,
+                 options_.block_when_full);
 }
 
 Status ShardWorker::SubmitBatch(std::span<const Edge> raw_edges,
                                 std::size_t* accepted) {
-  return EnqueueImpl(raw_edges, accepted);
+  return Enqueue(raw_edges, accepted, options_.block_when_full);
 }
 
 Status ShardWorker::SubmitBatch(std::vector<Edge>&& chunk,
                                 std::size_t* accepted) {
-  return EnqueueImpl(std::span<const Edge>(chunk.data(), chunk.size()),
-                     accepted, &chunk);
+  return Enqueue(std::span<const Edge>(chunk.data(), chunk.size()), accepted,
+                 options_.block_when_full, &chunk);
 }
 
 std::size_t ShardWorker::OfferBatch(std::span<const Edge> edges) {
-  if (edges.empty()) return 0;
-  if (stopping_flag_.load(std::memory_order_acquire)) return 0;
-  const std::size_t take = TryClaimUpTo(edges.size());
-  if (take == 0) return 0;
-  // Post-claim stop re-check, same as EnqueueImpl: an accepted-then-lost
-  // chunk is worse than a rejected one.
-  if (stopping_flag_.load(std::memory_order_seq_cst)) {
-    ReleaseBudget(take);
-    return 0;
-  }
-  Chunk chunk(edges.subspan(0, take));
-  if (!TryPushChunk(std::move(chunk))) {
-    ReleaseBudget(take);
-    return 0;
-  }
-  WakeIfParked();
-  return take;
+  std::size_t accepted = 0;
+  // Full queue and stopped worker both leave `accepted` at what fit.
+  (void)Enqueue(edges, &accepted, /*block=*/false);
+  return accepted;
 }
 
 Status ShardWorker::SubmitRetire(Timestamp horizon) {
@@ -264,180 +126,95 @@ Status ShardWorker::SubmitRetire(Timestamp horizon) {
         "ShardWorker::SubmitRetire: worker was built without a retire "
         "callback");
   }
-  if (stopping_flag_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("ShardWorker is stopped");
-  }
-  // Same lock-free fast path as EnqueueImpl, claiming one edge of budget
-  // for the marker (including the post-claim stop re-check — see
-  // EnqueueImpl for why it must follow the claim).
-  if (TryClaimBudget(1)) {
-    if (stopping_flag_.load(std::memory_order_seq_cst)) {
-      ReleaseBudget(1);
-      return Status::FailedPrecondition("ShardWorker is stopped");
-    }
-    Chunk chunk;
-    chunk.is_retire = true;
-    chunk.retire_horizon = horizon;
-    if (TryPushChunk(std::move(chunk))) {
-      WakeIfParked();
-      return Status::OK();
-    }
-    ReleaseBudget(1);
-  }
-  if (!options_.block_when_full) {
-    return Status::OutOfRange("ShardWorker queue full");
-  }
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  space_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  Status result = Status::OK();
-  for (;;) {
-    if (stopping_) {
-      result = Status::FailedPrecondition("ShardWorker is stopped");
-      break;
-    }
-    if (TryClaimBudget(1)) {
-      Chunk chunk;
-      chunk.is_retire = true;
-      chunk.retire_horizon = horizon;
-      if (TryPushChunk(std::move(chunk))) {
-        work_cv_.notify_one();
-        break;
-      }
-      ReleaseBudget(1);
-    }
-    space_cv_.wait(lock);
-  }
-  space_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  return result;
+  return Enqueue({}, nullptr, options_.block_when_full, nullptr, horizon);
 }
 
-Status ShardWorker::EnqueueImpl(std::span<const Edge> edges,
-                                std::size_t* accepted,
-                                std::vector<Edge>* owned) {
+Status ShardWorker::Enqueue(std::span<const Edge> edges,
+                            std::size_t* accepted, bool block,
+                            std::vector<Edge>* owned,
+                            std::optional<Timestamp> retire) {
   if (accepted != nullptr) *accepted = 0;
-  if (edges.empty()) return Status::OK();
-  if (stopping_flag_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("ShardWorker is stopped");
-  }
-  const bool allow_partial = accepted != nullptr;
-  if (!allow_partial && edges.size() > options_.max_queue) {
+  const std::size_t units = retire ? 1 : edges.size();
+  if (units == 0) return Status::OK();
+  if (accepted == nullptr && units > options_.max_queue) {
     return Status::InvalidArgument(
         "ShardWorker::SubmitBatch: chunk exceeds max_queue");
   }
-
   std::size_t done = 0;
-  // Lock-free fast path: claim budget, claim a cell, publish.
+  Status status = Status::OK();
   {
-    const std::size_t want = edges.size();
-    const std::size_t take =
-        allow_partial ? TryClaimUpTo(want)
-                      : (TryClaimBudget(want) ? want : 0);
-    if (take > 0) {
-      // Re-check the stop flag AFTER the claim (seq_cst on both sides):
-      // either this load sees the flag and we release + fail, or the
-      // claim precedes the flag store in the seq_cst order — and then the
-      // exiting worker's queued_edges_==0 check (which runs after the
-      // flag store) must observe the claim and keep draining. Without
-      // this, a producer that read the flag as false before Stop() could
-      // publish into a ring nobody will ever pop: accepted, then lost.
-      if (stopping_flag_.load(std::memory_order_seq_cst)) {
-        ReleaseBudget(take);
-        return Status::FailedPrecondition("ShardWorker is stopped");
+    std::unique_lock<std::mutex> lock(queue_mutex_);
+    while (done < units) {
+      // The stop check, the push and the worker's exit test share
+      // queue_mutex_: a chunk pushed before Stop() is applied before the
+      // worker exits, and a call after Stop() pushes nothing.
+      if (stopping_) {
+        status = Status::FailedPrecondition("ShardWorker is stopped");
+        break;
       }
-      const bool moved_owned =
-          owned != nullptr && take == edges.size() && take > 1;
-      Chunk chunk = moved_owned ? Chunk(std::move(*owned))
-                                : Chunk(edges.subspan(0, take));
-      if (TryPushChunk(std::move(chunk))) {
-        WakeIfParked();
-        done = take;
-        if (accepted != nullptr) *accepted = done;
-        if (done == edges.size()) return Status::OK();
-      } else {
-        ReleaseBudget(take);
-        if (moved_owned) {
-          // TryPushChunk does not consume on failure; hand the storage
-          // back so `edges` (a span over it) stays valid for the slow
-          // path and the caller keeps its intact chunk on error.
-          *owned = std::move(chunk.many);
+      const std::size_t depth = queued_edges_.load(std::memory_order_relaxed);
+      const std::size_t free =
+          options_.max_queue - std::min(depth, options_.max_queue);
+      const std::size_t want = units - done;
+      const std::size_t take = accepted != nullptr
+                                   ? std::min(want, free)
+                                   : (want <= free ? want : 0);
+      if (take > 0) {
+        if (retire) {
+          queue_.push_back(Chunk::Retire(*retire));
+        } else if (owned != nullptr && take == edges.size()) {
+          queue_.emplace_back(std::move(*owned));
+        } else {
+          queue_.emplace_back(edges.subspan(done, take));
         }
-      }
-    }
-  }
-  if (!options_.block_when_full) {
-    // Fail fast. With `accepted`, the prefix that fit stays enqueued and
-    // is reported exactly; without it, nothing was enqueued.
-    return Status::OutOfRange("ShardWorker queue full");
-  }
-
-  // Blocking slow path: register as a space waiter and hand the remainder
-  // over (in one piece, or — with `accepted` — in pieces) as the worker
-  // frees space.
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  space_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  bool stopped = false;
-  while (done < edges.size()) {
-    if (stopping_) {
-      stopped = true;
-      break;
-    }
-    const std::size_t want = edges.size() - done;
-    const std::size_t take =
-        allow_partial ? TryClaimUpTo(want)
-                      : (TryClaimBudget(want) ? want : 0);
-    if (take > 0) {
-      Chunk chunk(edges.subspan(done, take));
-      if (TryPushChunk(std::move(chunk))) {
-        // Already under queue_mutex_ — notify the worker directly instead
-        // of WakeIfParked's lock-taking coalesced wakeup.
-        work_cv_.notify_one();
+        ++enqueue_pos_;
+        queued_edges_.store(depth + take, std::memory_order_relaxed);
+        if (depth + take > queue_hwm_recent_.load(std::memory_order_relaxed)) {
+          queue_hwm_recent_.store(depth + take, std::memory_order_relaxed);
+        }
         done += take;
         if (accepted != nullptr) *accepted = done;
         continue;
       }
-      ReleaseBudget(take);
+      // Fail fast. With `accepted`, the prefix that fit stays queued and
+      // is reported exactly; without it, nothing was queued.
+      if (!block) {
+        status = Status::OutOfRange("ShardWorker queue full");
+        break;
+      }
+      // Blocking: the pieces already pushed must reach the worker before
+      // this producer sleeps for the space they will free.
+      if (done > 0) work_cv_.notify_one();
+      space_cv_.wait(lock);
     }
-    space_cv_.wait(lock);
   }
-  space_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  if (stopped) {
-    return Status::FailedPrecondition("ShardWorker is stopped");
-  }
-  return Status::OK();
+  if (done > 0) work_cv_.notify_one();
+  return status;
 }
 
 // ---------------------------------------------------------------------------
 // Drain / Stop.
 
-void ShardWorker::Drain() { WaitExact(std::nullopt); }
+void ShardWorker::Drain() { WaitApplied(std::nullopt); }
 
 bool ShardWorker::DrainFor(std::chrono::milliseconds timeout) {
-  return WaitExact(timeout);
+  return WaitApplied(timeout);
 }
 
-bool ShardWorker::WaitExact(std::optional<std::chrono::milliseconds> timeout) {
+bool ShardWorker::WaitApplied(
+    std::optional<std::chrono::milliseconds> timeout) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
-  // Every chunk whose Submit returned before this call holds a ring cell
-  // below the claim cursor; a cell claimed but not yet published belongs
-  // to a concurrent Submit, whose producer publishes it momentarily.
-  const std::uint64_t target = enqueue_pos_.load(std::memory_order_seq_cst);
+  // Every chunk whose Submit returned before this call is below the push
+  // count; the worker advances applied_pos_ at the end of each round.
+  const std::uint64_t target = enqueue_pos_;
   const auto done = [this, target] {
-    return exact_pos_ >= target || worker_exited_;
+    return applied_pos_ >= target || worker_exited_;
   };
-  if (done()) return true;
-  // The worker republishes partitions with unpublished applies only while
-  // a drain waiter is registered (between drains it publishes on urgent
-  // edges and the detect_every cadence), so wake it up.
-  ++drain_waiters_;
-  work_cv_.notify_one();
-  bool reached = true;
-  if (timeout) {
-    reached = drain_cv_.wait_for(lock, *timeout, done);
-  } else {
+  if (!timeout) {
     drain_cv_.wait(lock, done);
+    return true;
   }
-  --drain_waiters_;
-  return reached;
+  return drain_cv_.wait_for(lock, *timeout, done);
 }
 
 void ShardWorker::Stop() {
@@ -445,9 +222,6 @@ void ShardWorker::Stop() {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_ && !worker_.joinable()) return;
     stopping_ = true;
-    // seq_cst: pairs with the producers' post-claim re-check (EnqueueImpl)
-    // and the worker's exit-time queued_edges_ check.
-    stopping_flag_.store(true, std::memory_order_seq_cst);
   }
   work_cv_.notify_all();
   space_cv_.notify_all();
@@ -1029,123 +803,49 @@ void ShardWorker::FlushForwardBacklog() {
   }
 }
 
-void ShardWorker::MakeExact() {
-  const auto work_begin = std::chrono::steady_clock::now();
-  std::vector<std::shared_ptr<const Community>> alerts;
-  {
-    std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-    // Benign buffers stay: their edges are applied, and by Lemma 4.4 the
-    // published community is already that of graph + buffer.
-    for (auto& p : parts_) {
-      if (p->since_detect > 0) PublishLocked(*p);
-    }
-    alerts = TakePendingAlertsLocked();
-  }
-  for (const auto& a : alerts) on_alert_(*a);
-  AddBusySince(work_begin);
-  // A backlogged edge has not been applied anywhere yet: the snapshot
-  // cannot be exact until the owner accepts it (the timed park retries).
-  if (!forward_backlog_.empty()) return;
-  {
-    // Every popped cell is applied (or forwarded) and now published; cells
-    // still in the ring were published after the pop and belong to a later
-    // drain target.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    exact_pos_ = dequeue_pos_;
-  }
-  drain_cv_.notify_all();
-}
-
 void ShardWorker::WorkerLoop() {
   std::vector<Edge> batch;
+  std::uint64_t popped = 0;  // chunks taken off the queue so far
   while (true) {
-    // Gather every ready chunk (up to the gather cap) into one application
-    // batch — the same amortization the old whole-buffer swap provided. A
-    // retire marker ends the round: the pass must see exactly the edges
-    // submitted before it (ring order), not ones gathered after.
+    // Gather every queued chunk (up to the gather cap) into one application
+    // batch. A retire marker ends the round: the pass must see exactly the
+    // edges submitted before it (queue order), not ones gathered after.
     batch.clear();
     bool have_retire = false;
     Timestamp retire_horizon = 0;
     {
-      Chunk chunk;
-      while (batch.size() < kGatherCap && !have_retire &&
-             TryPopChunk(&chunk)) {
+      std::unique_lock<std::mutex> lock(queue_mutex_);
+      const auto ready = [this] { return stopping_ || !queue_.empty(); };
+      if (forward_backlog_.empty()) {
+        work_cv_.wait(lock, ready);
+      } else {
+        // Timed park: the backlog's forward target was full or mid-move;
+        // poll it instead of sleeping until a producer shows up.
+        work_cv_.wait_for(lock, kBacklogRetire, ready);
+      }
+      // Stop drains first: every chunk accepted before Stop() is queued.
+      if (stopping_ && queue_.empty()) break;
+      std::size_t freed = 0;
+      while (!queue_.empty() && !have_retire && batch.size() < kGatherCap) {
+        Chunk& chunk = queue_.front();
+        freed += chunk.size();
         if (chunk.is_retire) {
           have_retire = true;
           retire_horizon = chunk.retire_horizon;
         } else if (chunk.is_one) {
           batch.push_back(chunk.one);
         } else if (batch.empty()) {
-          // Recycle the batch's old buffer before adopting the slab —
-          // steady state circulates slabs through the pool instead of
-          // allocating per chunk.
-          if (slab_pool_ && batch.capacity() > 0) {
-            slab_pool_->Put(std::move(batch));
-          }
           batch = std::move(chunk.many);
         } else {
           batch.insert(batch.end(), chunk.many.begin(), chunk.many.end());
-          if (slab_pool_) slab_pool_->Put(std::move(chunk.many));
         }
+        queue_.pop_front();
+        ++popped;
       }
+      queued_edges_.fetch_sub(freed, std::memory_order_relaxed);
     }
-
-    if (batch.empty() && !have_retire) {
-      // Retry the forward backlog before parking: its edges are invisible
-      // to the ring, so nothing else would wake us for them.
-      if (!forward_backlog_.empty()) FlushForwardBacklog();
-      bool make_exact = false;
-      bool inflight_claim = false;
-      bool exit_loop = false;
-      {
-        std::unique_lock<std::mutex> lock(queue_mutex_);
-        // Park protocol (Dekker with WakeIfParked): set parked_ first,
-        // then let the wait predicate re-check the ring. A producer that
-        // published before the flag was set is seen by the predicate; one
-        // that published after it sees the flag and notifies under the
-        // mutex.
-        parked_.store(true, std::memory_order_seq_cst);
-        const auto ready = [this] {
-          return stopping_ || RingReady() || ExactnessWantedLocked();
-        };
-        if (!forward_backlog_.empty()) {
-          // Timed park: the backlog's forward target was full or mid-move;
-          // poll it instead of sleeping until a producer shows up.
-          work_cv_.wait_for(lock, kBacklogRetire, ready);
-        } else {
-          work_cv_.wait(lock, ready);
-        }
-        parked_.store(false, std::memory_order_relaxed);
-        if (RingReady()) continue;  // new work: loop around and pop it
-        if (stopping_) {
-          // Exit only when no producer holds a claimed-but-unpublished
-          // chunk (claims raise queued_edges_ before the cell publish):
-          // a Submit that raced Stop() and was accepted must still be
-          // applied, or "Stop drains queued edges first" silently drops
-          // it. The producer publishes or releases momentarily.
-          if (queued_edges_.load(std::memory_order_seq_cst) == 0) {
-            exit_loop = true;
-          } else {
-            inflight_claim = true;
-          }
-        } else {
-          // A Drain() waiter needs the snapshot brought up to date
-          // (republish); no new edges to apply.
-          make_exact = ExactnessWantedLocked();
-        }
-      }
-      if (exit_loop) break;
-      if (inflight_claim) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (make_exact) MakeExact();
-      continue;
-    }
-
-    // The popped chunks already left the budget gauge; wake any blocked
-    // producers (only when some are registered — coalesced like wakeups).
-    NotifySpaceFreed();
+    // The popped chunks left the budget; wake any blocked producers.
+    space_cv_.notify_all();
 
     const auto work_begin = std::chrono::steady_clock::now();
     for (const Edge& edge : batch) {
@@ -1223,30 +923,14 @@ void ShardWorker::WorkerLoop() {
 
     AddBusySince(work_begin);
 
-    // Round-end exactness: every partition published since its last
-    // apply (a benign buffer does not matter), and no backlogged edge
-    // awaiting its owner.
-    bool exact_after_batch = forward_backlog_.empty();
-    if (exact_after_batch) {
-      std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-      exact_after_batch =
-          std::all_of(parts_.begin(), parts_.end(),
-                      [](const auto& p) { return p->since_detect == 0; });
-    }
-    bool make_exact = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      // Cheap advance: if the batch happened to end on a fresh publication,
-      // the snapshot is already exact and a later Drain() needs no worker
-      // round-trip.
-      if (exact_after_batch) exact_pos_ = dequeue_pos_;
-      // A Drain() waiter under sustained traffic: the ring may never run
-      // empty, so produce exactness now rather than at the next park.
-      make_exact = ExactnessWantedLocked();
-    }
-    if (make_exact) {
-      MakeExact();
-    } else {
+    // Every popped chunk is applied and its community published (a benign
+    // buffer does not matter), unless an edge still waits in the forward
+    // backlog for its owner.
+    if (forward_backlog_.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(queue_mutex_);
+        applied_pos_ = popped;
+      }
       drain_cv_.notify_all();
     }
   }
@@ -1263,23 +947,10 @@ void ShardWorker::WorkerLoop() {
       forward_backlog_.clear();
     }
   }
-
-  // Final shutdown publication (benign buffers stay, as at a Drain).
-  {
-    std::vector<std::shared_ptr<const Community>> alerts;
-    {
-      std::lock_guard<std::mutex> apply_lock(detector_mutex_);
-      for (auto& p : parts_) {
-        if (p->since_detect > 0) PublishLocked(*p);
-      }
-      alerts = TakePendingAlertsLocked();
-    }
-    for (const auto& a : alerts) on_alert_(*a);
-  }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     worker_exited_ = true;
-    exact_pos_ = dequeue_pos_;
+    applied_pos_ = popped;
   }
   drain_cv_.notify_all();
   space_cv_.notify_all();

@@ -1,5 +1,5 @@
-// ShardWorker: one worker thread draining a lock-light chunk-handoff queue
-// through a set of exclusively-owned detector partitions.
+// ShardWorker: one worker thread draining a chunk queue through a set of
+// exclusively-owned detector partitions.
 //
 // Historically a worker WAS a detector. Work-stealing rebalance (DESIGN.md
 // §10) splits that fusion: a worker now owns a set of epoch-versioned
@@ -12,34 +12,24 @@
 // The three client-visible paths are decoupled so none of them serializes
 // on an in-flight reorder:
 //
-//   * Submit / SubmitBatch: producers hand whole chunks of edges to the
-//     worker through a bounded MPSC ring of edge slabs (Vyukov-style
-//     sequence-stamped cells). The hot path is entirely lock-free: claim
-//     queue budget with one CAS, claim a ring cell with one CAS, publish
-//     the cell's sequence word. A mutex is touched only on the slow paths
-//     (full queue in blocking mode, parking, Drain) — never per edge, and
-//     never per chunk while the pipeline keeps up.
+//   * Submit / SubmitBatch: producers push whole chunks of edges onto a
+//     std::deque under `queue_mutex_` (DESIGN.md §6.2). The mutex guards
+//     only the push, the edge budget and the stop flag; the worker holds it
+//     only to pop a round of chunks, never while it applies them.
 //   * CurrentCommunity / CurrentSnapshot: the worker publishes the densest
 //     community across its partitions as an atomically-swapped shared_ptr
 //     snapshot. Readers load the pointer and never touch any mutex on the
 //     apply path.
 //   * EdgesProcessed / AlertsDelivered / QueueDepth: relaxed atomics.
 //
-// Forwarding protocol: an edge popped off the ring whose partition this
+// Forwarding protocol: an edge popped off the queue whose partition this
 // worker does NOT own (it was routed under a stale partition-map entry
 // while the partition moved) goes to a worker-local forward backlog and is
 // re-submitted to the current owner via the service-provided ForwardFn —
-// applied exactly once, at the owner. The drain cursor (a ring position)
+// applied exactly once, at the owner. The applied cursor (a chunk count)
 // only advances while the backlog is empty, so Drain() still means
 // "everything this worker accepted has been applied somewhere or handed to
 // its owner".
-//
-// Wakeup coalescing: producers notify the worker only when it is actually
-// parked (`parked_` is set, seq_cst, before the worker re-checks the ring
-// and waits; producers publish, then load `parked_` — the classic Dekker
-// handshake, so either the worker sees the new slab or the producer sees
-// the parked flag and wakes it). A producer feeding a busy worker performs
-// zero syscalls and zero lock acquisitions per chunk.
 //
 // Alerts are delivered from the worker thread with no service lock held
 // (the snapshot is taken first), so a slow moderator callback can delay the
@@ -64,15 +54,16 @@
 // SpadeOptions::max_benign_buffer, and before a window retire — so a chain
 // replay through the same entry points repeats each one; the only fold
 // outside Spade is the Flush before a full base, which restarts the chain.
-// Exactness on demand: a Drain() waiter registers itself and wakes the
-// worker, which republishes every partition with unpublished applies and
-// advances the drain cursor — so Drain() returning means every edge
-// submitted before the call has been applied (to its graph or its benign
-// buffer) and its community published. Readers that need the edges
-// themselves read graph() and benign_buffer() together (the stitch
-// gather, the boundary rebuild). The benign buffer can grow to the cap;
-// under state-dependent semantics (FD) a longer buffer weighs later edges
-// against a staler graph, identically live and on chain replay.
+// Since every peel-state change is published when its edge applies, the
+// snapshot is current at the end of every gathered round: the worker then
+// advances the applied cursor, and Drain() waits for it to pass the chunks
+// pushed before the call — so Drain() returning means every edge submitted
+// before the call has been applied (to its graph or its benign buffer) and
+// its community published. Readers that need the edges themselves read
+// graph() and benign_buffer() together (the stitch gather, the boundary
+// rebuild). The benign buffer can grow to the cap; under state-dependent
+// semantics (FD) a longer buffer weighs later edges against a staler graph,
+// identically live and on chain replay.
 
 #pragma once
 
@@ -94,7 +85,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/slab_pool.h"
 #include "common/status.h"
 #include "core/spade.h"
 #include "graph/types.h"
@@ -173,12 +163,8 @@ struct DetectionServiceOptions {
   /// checkpoint base; Drain, delta checkpoints, stitching and shutdown
   /// leave it buffered.
   std::size_t detect_every = 256;
-  /// Bound on edges accepted but not yet taken off the handoff ring by the
-  /// worker. The ring also has a bounded number of slabs
-  /// (min(max_queue, 65536), rounded up to a power of two): a queue that is
-  /// out of slabs but not out of edge budget — only possible when tens of
-  /// thousands of single-edge Submits pile up against a stalled worker —
-  /// counts as full as well.
+  /// Bound on edges accepted but not yet taken off the queue by the worker
+  /// (a retire marker counts as one edge).
   std::size_t max_queue = 1 << 20;
   /// When the buffer is full: false = Submit fails fast with kOutOfRange;
   /// true = Submit blocks until the worker frees space (backpressure
@@ -191,8 +177,8 @@ struct DetectionServiceOptions {
   std::size_t max_delta_log = 1 << 20;
 };
 
-/// One worker: a background thread draining a chunk-handoff ring through a
-/// set of exclusively-owned Spade detector partitions.
+/// One worker: a background thread draining a chunk queue through a set of
+/// exclusively-owned Spade detector partitions.
 class ShardWorker {
  public:
   /// One movable unit of detector state: the Spade instance plus every
@@ -261,13 +247,11 @@ class ShardWorker {
   /// every retire pass that removes at least one edge (see RetireNotifyFn);
   /// null = insert-only, no window log. `is_boundary` (optional; null =
   /// no boundary weights) classifies edges for Partition::boundary (see
-  /// BoundaryFn). `slab_pool` (optional) receives consumed batch slabs for
-  /// recycling.
+  /// BoundaryFn).
   ShardWorker(std::vector<PartitionSeed> seeds, std::size_t total_partitions,
               PartitionOfFn partition_of, ForwardFn forward,
               FraudAlertFn on_alert, DetectionServiceOptions options, int cpu,
-              RetireNotifyFn on_retire, BoundaryFn is_boundary,
-              std::shared_ptr<SlabPool> slab_pool);
+              RetireNotifyFn on_retire, BoundaryFn is_boundary);
 
   /// Stops the worker, draining queued edges first.
   ~ShardWorker();
@@ -277,12 +261,13 @@ class ShardWorker {
 
   /// Enqueues one transaction; callable from any thread. Fails with
   /// kFailedPrecondition after Stop(); when the buffer is full it either
-  /// fails with kOutOfRange or blocks, per `block_when_full`. Lock-free
-  /// unless the queue is full.
+  /// fails with kOutOfRange or blocks, per `block_when_full`. Holds
+  /// queue_mutex_ for the push only.
   Status Submit(const Edge& raw_edge);
 
-  /// Bulk enqueue: one budget claim, one ring cell and (at most) one worker
-  /// wakeup for the whole chunk — the high-throughput producer path.
+  /// Bulk enqueue: one mutex acquisition, one queued chunk and (at most)
+  /// one worker wakeup for the whole chunk — the high-throughput producer
+  /// path.
   ///
   /// Without `accepted` the call is all-or-nothing: it fails with
   /// kOutOfRange (or blocks until the whole chunk fits) when the chunk does
@@ -300,8 +285,8 @@ class ShardWorker {
                      std::size_t* accepted = nullptr);
 
   /// Move-through variant: when the whole chunk is accepted in one piece
-  /// (the common case), the vector becomes the ring slab directly — zero
-  /// edge copies on this call. Falls back to copying (leaving `chunk`
+  /// (the common case), the vector becomes the queued chunk directly —
+  /// zero edge copies on this call. Falls back to copying (leaving `chunk`
   /// intact for the unaccepted suffix accounting) when backpressure splits
   /// or truncates the handoff; same contract as the span overload
   /// otherwise.
@@ -319,9 +304,9 @@ class ShardWorker {
   /// Enqueues a retire marker: when the worker reaches it, every window-log
   /// edge with ts < `horizon` (in every owned partition) is retired
   /// (deleted with its recorded applied weight) and logged as a retire
-  /// record for the delta chain. The marker rides the same ring as edge
-  /// chunks — it costs one unit of queue budget and obeys the same
-  /// drain/exactness protocol, so Drain() after a successful SubmitRetire
+  /// record for the delta chain. The marker rides the same queue as edge
+  /// chunks — it costs one unit of queue budget and obeys the same drain
+  /// protocol, so Drain() after a successful SubmitRetire
   /// implies the retire pass has fully applied. Requires a windowed worker
   /// (one built with `on_retire`); each window log is popped oldest-first,
   /// so an out-of-timestamp-order arrival delays expiry of the edges queued
@@ -336,8 +321,9 @@ class ShardWorker {
   /// its benign buffer. Returns immediately once the worker has exited.
   void Drain();
 
-  /// Bounded-wait Drain: returns true when the snapshot became exact (or
-  /// the worker exited) within `timeout`, false when the deadline passed
+  /// Bounded-wait Drain: returns true when the edges submitted before the
+  /// call were applied and published (or the worker exited) within
+  /// `timeout`, false when the deadline passed
   /// first — the caller's edges may still be in flight. Replication and
   /// promotion use this so a wedged shard surfaces as a status instead of
   /// hanging the control plane (DESIGN.md §7).
@@ -390,7 +376,7 @@ class ShardWorker {
   /// Copy of one partition's window log (arrival order, applied weights).
   std::vector<Edge> PartitionWindowEdges(std::size_t pid) const;
 
-  /// Snapshot publications (urgent edge, cadence, drain or retire) so far
+  /// Snapshot publications (urgent edge, cadence or retire) so far
   /// (lock-free).
   std::uint64_t DetectionsRun() const {
     return detections_.load(std::memory_order_relaxed);
@@ -419,7 +405,7 @@ class ShardWorker {
   /// under the detector mutex (O(boundary vertices)).
   void AddBoundaryWeights(std::unordered_map<VertexId, double>* weight) const;
 
-  /// Edges accepted but not yet taken off the ring by the worker (relaxed
+  /// Edges accepted but not yet taken off the queue by the worker (relaxed
   /// atomic; never takes a lock, may trail an in-flight handoff).
   std::size_t QueueDepth() const {
     return queued_edges_.load(std::memory_order_relaxed);
@@ -449,8 +435,8 @@ class ShardWorker {
   void ResetHighWater();
 
   /// Fraction of wall time since construction the worker spent applying
-  /// edges / retires or making a Drain exact (busy), as opposed to parked
-  /// or gathering. Relaxed.
+  /// edges, retires and forwards (busy), as opposed to parked or gathering.
+  /// Relaxed.
   double BusyFraction() const;
 
   /// Ascending pids of the partitions this worker currently owns.
@@ -470,7 +456,8 @@ class ShardWorker {
   std::vector<std::pair<std::size_t, std::uint64_t>> PartitionLoads();
 
   /// Detaches an owned partition for a move: removes it from the ownership
-  /// table (subsequent ring edges for this pid go to the forward backlog)
+  /// table (subsequently queued edges for this pid go to the forward
+  /// backlog)
   /// and republishes the snapshot without it. Returns null when this
   /// worker does not own `pid`. The caller (the service, under its
   /// rebalance lock) attaches the partition to its new owner and THEN
@@ -576,10 +563,10 @@ class ShardWorker {
 
  private:
   /// One handoff unit: a single inline edge (per-edge Submit pays no
-  /// allocation), an owned slab of edges (SubmitBatch copies the caller's
+  /// allocation), an owned vector of edges (SubmitBatch copies the caller's
   /// span once), or a retire marker (SubmitRetire) carrying the expiry
   /// horizon. A marker counts as one edge of queue budget so the shared
-  /// claim/release/drain accounting needs no special case.
+  /// budget and drain accounting needs no special case.
   struct Chunk {
     Chunk() = default;
     explicit Chunk(std::span<const Edge> edges) {
@@ -598,6 +585,12 @@ class ShardWorker {
         many = std::move(edges);
       }
     }
+    static Chunk Retire(Timestamp horizon) {
+      Chunk marker;
+      marker.is_retire = true;
+      marker.retire_horizon = horizon;
+      return marker;
+    }
     std::size_t size() const {
       return (is_one || is_retire) ? 1 : many.size();
     }
@@ -608,66 +601,25 @@ class ShardWorker {
     std::vector<Edge> many;
   };
 
-  /// One ring cell: Vyukov sequence stamp + the chunk payload. `seq == pos`
-  /// means free for the producer claiming position `pos`; `seq == pos + 1`
-  /// means published and ready for the consumer.
-  struct Cell {
-    std::atomic<std::uint64_t> seq{0};
-    Chunk chunk;
-  };
-
   void WorkerLoop();
 
   /// Worker thread: counts the time since `begin` toward busy_ns_.
   void AddBusySince(std::chrono::steady_clock::time_point begin);
 
-  /// Shared enqueue path for Submit and SubmitBatch (see SubmitBatch for
-  /// the partial-accept contract). `accepted` null = all-or-nothing.
-  /// `owned` (optional) is the storage behind `edges`: when the whole
-  /// chunk is accepted as one piece it is moved into the ring instead of
-  /// copied.
-  Status EnqueueImpl(std::span<const Edge> edges, std::size_t* accepted,
-                     std::vector<Edge>* owned = nullptr);
-
-  /// Shared CAS claim loop: claims up to `k` edges of budget (all-or-
-  /// nothing unless `allow_partial`), updates the high-water mark, returns
-  /// the claimed count (may be 0).
-  std::size_t ClaimBudget(std::size_t k, bool allow_partial);
-  /// Claims exactly `k` edges of queue budget; false when they do not fit.
-  bool TryClaimBudget(std::size_t k);
-  /// Claims up to `k` edges of budget; returns the claimed count (may be 0).
-  std::size_t TryClaimUpTo(std::size_t k);
-  /// Releases `k` edges of claimed budget (push failed or consumer done).
-  void ReleaseBudget(std::size_t k);
-  /// Vyukov multi-producer push; false when the ring is out of cells.
-  bool TryPushChunk(Chunk&& chunk);
-  /// Single-consumer pop (worker thread only); releases the popped edges'
-  /// budget and returns false when no published cell is ready.
-  bool TryPopChunk(Chunk* out);
-  /// Worker thread only: is the next ring cell published? (Also evaluated
-  /// inside the worker's own condvar predicate — never by other threads.)
-  bool RingReady() const;
-  /// Wakes the worker iff it is parked (after a chunk was published).
-  void WakeIfParked();
-  /// Wakes blocked producers iff any are registered.
-  void NotifySpaceFreed();
-
-  /// Make-exact protocol for a Drain waiter: republish every partition
-  /// with unpublished applies (no fold), then advance the drain cursor
-  /// over every popped cell (unless the forward backlog is nonempty — a
-  /// backlogged edge is not yet applied anywhere).
-  void MakeExact();
-
-  /// Worker thread, queue_mutex_ held: a Drain() waiter is registered, the
-  /// snapshot trails the popped cells, and no backlogged edge blocks
-  /// exactness — so MakeExact would advance the cursor.
-  bool ExactnessWantedLocked() const {
-    return drain_waiters_ > 0 && exact_pos_ < dequeue_pos_ &&
-           forward_backlog_.empty();
-  }
+  /// The one enqueue routine behind Submit, both SubmitBatch overloads,
+  /// OfferBatch and SubmitRetire: pushes `edges` — or, with `retire`, one
+  /// retire marker worth one edge of budget — under queue_mutex_.
+  /// `accepted` null = all-or-nothing, otherwise the exact accepted prefix
+  /// (see SubmitBatch). `block` waits on space_cv_ for budget instead of
+  /// failing with kOutOfRange. `owned` (optional) is the storage behind
+  /// `edges`: a chunk accepted whole in one piece is moved into the queue
+  /// instead of copied.
+  Status Enqueue(std::span<const Edge> edges, std::size_t* accepted,
+                 bool block, std::vector<Edge>* owned = nullptr,
+                 std::optional<Timestamp> retire = std::nullopt);
 
   /// Drain() / DrainFor() (no timeout = wait forever).
-  bool WaitExact(std::optional<std::chrono::milliseconds> timeout);
+  bool WaitApplied(std::optional<std::chrono::milliseconds> timeout);
 
   /// Looks up the owned partition for an edge (detector mutex held):
   /// partition_of_ -> pid -> ownership table, or the one partition under
@@ -717,7 +669,7 @@ class ShardWorker {
   /// folding the benign buffer, refreshes the published snapshot, and
   /// queues an alert if the community changed (detector mutex held; the
   /// caller fires pending alerts after unlocking). Every publication path
-  /// uses it: apply, cadence, drain, retire and shutdown.
+  /// uses it: apply, cadence and retire.
   void PublishLocked(Partition& p);
 
   /// Republishes one partition's community and makes it the alert
@@ -742,39 +694,27 @@ class ShardWorker {
   DetectionServiceOptions options_;
   FraudAlertFn on_alert_;
 
-  // --- chunk-handoff ring (lock-free producer hot path) ------------------
-  std::vector<Cell> ring_;    // power-of-two cells, fixed at construction
-  std::uint64_t ring_mask_ = 0;
-  std::atomic<std::uint64_t> enqueue_pos_{0};
-  std::uint64_t dequeue_pos_ = 0;  // worker thread only
-  /// Edges resident in the ring (claimed budget). seq_cst where it pairs
-  /// with the park/space Dekker handshakes.
-  std::atomic<std::size_t> queued_edges_{0};
-  /// High-water mark, split into a resettable recent window and a long-run
-  /// fold (see TakeRecentHighWater): ClaimBudget CAS-maxes the recent one.
-  std::atomic<std::size_t> queue_hwm_recent_{0};
-  std::atomic<std::size_t> queue_hwm_total_{0};
-  /// Worker is (about to be) asleep on work_cv_; producers notify only
-  /// when set (wakeup coalescing).
-  std::atomic<bool> parked_{false};
-  /// Producers blocked on space_cv_; the worker locks + notifies only when
-  /// nonzero.
-  std::atomic<std::size_t> space_waiters_{0};
-  /// Lock-free mirror of stopping_ for the producer fast path.
-  std::atomic<bool> stopping_flag_{false};
-
-  // --- slow-path coordination (guarded by queue_mutex_) ------------------
+  // --- chunk queue (guarded by queue_mutex_) -----------------------------
   mutable std::mutex queue_mutex_;
-  std::condition_variable work_cv_;   // signals the (parked) worker
+  std::condition_variable work_cv_;   // signals the worker: a chunk or Stop
   std::condition_variable drain_cv_;  // signals Drain() waiters
   std::condition_variable space_cv_;  // signals blocked producers
+  std::deque<Chunk> queue_;
+  /// Chunks pushed so far; Drain() waits for applied_pos_ to reach the
+  /// value it reads.
+  std::uint64_t enqueue_pos_ = 0;
+  /// Chunks popped, applied (or forwarded) and published: the worker sets
+  /// it after every round whose forward backlog ends empty.
+  std::uint64_t applied_pos_ = 0;
   bool stopping_ = false;
   bool worker_exited_ = false;
-  std::size_t drain_waiters_ = 0;  // threads parked in Drain()
-  /// Ring cells below this position are applied (or forwarded) and
-  /// reflected in the published snapshot; Drain() waits for it to pass
-  /// the claim cursor it read.
-  std::uint64_t exact_pos_ = 0;
+  /// Edges in queue_, the max_queue budget. Written under queue_mutex_;
+  /// atomic so QueueDepth() reads it without the lock.
+  std::atomic<std::size_t> queued_edges_{0};
+  /// High-water mark, split into a resettable recent window and a long-run
+  /// fold (see TakeRecentHighWater); Enqueue raises the recent one.
+  std::atomic<std::size_t> queue_hwm_recent_{0};
+  std::atomic<std::size_t> queue_hwm_total_{0};
 
   // --- partitions, touched only by the worker thread (or by Save/Restore/
   // Detach while the worker is parked in its queue wait; detector_mutex_
@@ -791,7 +731,7 @@ class ShardWorker {
   // worker moves them out and fires callbacks after releasing
   // detector_mutex_.
   std::vector<std::shared_ptr<const Community>> pending_alerts_;
-  /// Worker-thread-only: edges popped off the ring for partitions this
+  /// Worker-thread-only: edges popped off the queue for partitions this
   /// worker no longer owns, awaiting forward to the current owner.
   std::vector<Edge> forward_backlog_;
 
@@ -817,16 +757,14 @@ class ShardWorker {
   /// Cross-home applies and retires so far (monotone; written under the
   /// detector mutex).
   std::atomic<std::uint64_t> boundary_updates_{0};
-  /// Nanoseconds the worker spent in apply/retire/backlog work and in
-  /// MakeExact (vs parked or gathering); BusyFraction divides by wall time
-  /// since start_.
+  /// Nanoseconds the worker spent in apply/retire/backlog work (vs parked
+  /// or gathering); BusyFraction divides by wall time since start_.
   std::atomic<std::uint64_t> busy_ns_{0};
   std::chrono::steady_clock::time_point start_;
   RetireNotifyFn on_retire_;
   /// A worker built with a retire callback keeps window logs.
   bool Windowed() const { return on_retire_ != nullptr; }
   BoundaryFn is_boundary_;
-  std::shared_ptr<SlabPool> slab_pool_;
 
   std::thread worker_;
 };

@@ -97,8 +97,7 @@ ShardedDetectionService::ShardedDetectionService(
       on_alert_(std::move(on_alert)),
       map_(shards.size(),
            WorkerCountFor(shards.size(),
-                          options_.rebalance.partitions_per_shard)),
-      slab_pool_(std::make_shared<SlabPool>()) {
+                          options_.rebalance.partitions_per_shard)) {
   SPADE_CHECK(!shards.empty());
   const std::size_t pps =
       std::max<std::size_t>(1, options_.rebalance.partitions_per_shard);
@@ -176,7 +175,7 @@ ShardedDetectionService::ShardedDetectionService(
     workers_.push_back(std::make_unique<ShardWorker>(
         std::move(seeds), num_partitions, partition_of, std::move(forward),
         std::move(shard_alert), options_.shard, cpu, std::move(shard_retire),
-        is_boundary, slab_pool_));
+        is_boundary));
   }
   // The interval path runs for a single shard too: a stitch pass there is
   // just "publish the one shard's snapshot with provenance", which is what
@@ -351,16 +350,15 @@ Status ShardedDetectionService::SubmitBatch(std::span<const Edge> raw_edges,
     return s;
   }
   RouterScratch& scratch = TlsRouterScratch();
-  scratch.Partition(options_.partitioner, map_, workers_.size(), raw_edges,
-                    slab_pool_.get());
+  scratch.Partition(options_.partitioner, map_, workers_.size(), raw_edges);
   // The batched router's only job is splitting the chunk into per-shard
   // slabs (boundary weights update on the worker apply path).
   Status first_error = Status::OK();
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     if (scratch.Part(s).empty()) continue;
     std::size_t accepted = 0;
-    // Move-through: the scratch-built slab becomes the ring slab, so the
-    // whole batched path copies each edge exactly once.
+    // Move-through: the scratch-built slab becomes the queued chunk, so
+    // the whole batched path copies each edge exactly once.
     const Status status = workers_[s]->SubmitBatch(
         scratch.TakePart(s), enqueued != nullptr ? &accepted : nullptr);
     if (enqueued != nullptr) *enqueued += accepted;
@@ -510,7 +508,7 @@ std::size_t ShardedDetectionService::RouteForward(
     const std::size_t target = map_.ShardOf(pid);
     // Came home: the partition moved back while the edge sat in the
     // backlog. Stop here — the caller re-checks ownership and applies
-    // locally (forwarding to ourselves through the ring would reorder it
+    // locally (forwarding to ourselves through the queue would reorder it
     // behind edges that arrived later).
     if (target == from) break;
     std::size_t run = done + 1;
@@ -525,7 +523,7 @@ std::size_t ShardedDetectionService::RouteForward(
     if (accepted < len) break;  // target full: stop early, keep the rest
   }
   // Release: a Drain pass that observes this count also observes the
-  // target's ring claim, so its Drain of the target covers the edges.
+  // target's queue push, so its Drain of the target covers the edges.
   if (done > 0) forwarded_edges_.fetch_add(done, std::memory_order_release);
   return done;
 }

@@ -49,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/slab_pool.h"
 #include "common/status.h"
 #include "core/spade.h"
 #include "graph/types.h"
@@ -196,7 +195,7 @@ struct RebalanceOptions {
 /// whenever the watermark advances a stride past the last expiry horizon
 /// the service enqueues a retire marker on every shard: edges older than
 /// `watermark - span` are deleted from the detectors with their recorded
-/// applied weights, through the same ring and drain protocol as inserts;
+/// applied weights, through the same queue and drain protocol as inserts;
 /// each retired cross-home edge leaves its endpoints' boundary weights in
 /// the same step, so resident state is O(window), not O(history).
 /// `span == 0` (default) disables everything: the service is insert-only
@@ -348,14 +347,16 @@ class ShardedDetectionService {
   /// Bulk submit, the multi-producer throughput path: a thread-local
   /// RouterScratch partitions the chunk with one routing pass (flat
   /// reusable arenas, no per-call vector-of-vectors) and each shard
-  /// receives its contiguous part through the lock-free chunk handoff.
+  /// receives its contiguous part as one queued chunk (one queue-mutex
+  /// acquisition per shard, the part's vector moved in, not copied).
   /// Boundary weights update worker-side, exactly as in Submit. Order
   /// within the chunk is preserved per shard. Best-effort across shards:
   /// every shard's part is attempted and the first failure is returned.
   /// With `enqueued` non-null, `*enqueued` is the exact number of edges
   /// accepted — including prefixes a shard partially accepted under
-  /// backpressure (see ShardWorker::SubmitBatch); with it null, each
-  /// shard's part is all-or-nothing.
+  /// backpressure, which may reach the worker in pieces while the producer
+  /// blocks (see ShardWorker::SubmitBatch); with it null, each shard's part
+  /// is all-or-nothing, and a blocking shard hands it over in one piece.
   Status SubmitBatch(std::span<const Edge> raw_edges,
                      std::size_t* enqueued = nullptr);
 
@@ -446,7 +447,7 @@ class ShardedDetectionService {
 
   /// Explicit window expiry: enqueues a retire marker on every shard
   /// (edges with ts < `horizon` are deleted with their recorded applied
-  /// weights — same ring and drain protocol as inserts, so Drain() after
+  /// weights — same queue and drain protocol as inserts, so Drain() after
   /// this call implies the expiry has fully applied). Requires
   /// WindowOptions::span > 0. The first shard enqueue error is returned;
   /// shards that accepted the marker still retire.
@@ -648,8 +649,6 @@ class ShardedDetectionService {
   /// Partition -> current owner shard (lock-free reads on every Submit;
   /// declared before workers_ so forward closures can capture it safely).
   PartitionMap map_;
-  /// Recycles consumed batch slabs back to the batched router.
-  std::shared_ptr<SlabPool> slab_pool_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
 
   // --- rebalance state ---------------------------------------------------

@@ -119,7 +119,7 @@ TEST(IngestStressTest, NoLostOrDuplicatedEdgesUnderFullConcurrency) {
     producers.emplace_back([&, p] {
       const std::vector<Edge>& edges = producer_edges[p];
       // Alternate per-edge Submit and SubmitBatch chunks of varying size,
-      // so singles and slabs interleave in every shard's ring.
+      // so singles and slabs interleave in every shard's queue.
       std::size_t i = 0;
       bool batch = (p % 2) == 0;
       while (i < edges.size()) {

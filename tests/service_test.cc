@@ -331,6 +331,87 @@ TEST(SingleNodeServiceTest, BlockingStopReportsExactAcceptedPrefix) {
   EXPECT_EQ(service.EdgesProcessed(), 3u);
 }
 
+// "Accepted before Stop() => applied", under a race: four producers mix
+// Submit and SubmitBatch (all-or-nothing and accepted-prefix) against a
+// small queue while another thread calls Stop(). Every edge a call reported
+// accepted must be applied, none other, and every call after Stop() must
+// fail. Rounds alternate fail-fast and blocking mode, so producers race
+// Stop() both at the push and parked in the backpressure wait.
+TEST(SingleNodeServiceTest, AcceptedSubmitsRacingStopAreApplied) {
+  constexpr int kRounds = 40;
+  constexpr int kProducers = 4;
+  constexpr VertexId kVertices = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ShardedDetectionServiceOptions options;
+    options.shard.max_queue = 32;
+    options.shard.block_when_full = round % 2 == 1;
+    const auto seed = 500 + static_cast<std::uint64_t>(round);
+    ShardedDetectionService service(
+        testing::OneShard(MakeDetector(kVertices, 60, seed)), nullptr,
+        options);
+    std::atomic<std::uint64_t> accepted_total{0};
+    std::vector<std::thread> producers;
+    for (int t = 0; t < kProducers; ++t) {
+      producers.emplace_back([&, t] {
+        std::vector<Edge> chunk;
+        for (std::uint64_t i = 0;; ++i) {
+          // Valid edges only (no self-loop), so every accepted edge counts.
+          const auto edge_at = [&](std::uint64_t k) {
+            const auto src = static_cast<VertexId>((k + t) % kVertices);
+            const auto dst =
+                static_cast<VertexId>((src + 1 + k % 7) % kVertices);
+            return Edge{src, dst, 1.0, 0};
+          };
+          chunk.clear();
+          for (std::uint64_t k = 0; k < 1 + i % 8; ++k) {
+            chunk.push_back(edge_at(i + k));
+          }
+          Status s;
+          std::uint64_t got = 0;
+          switch (i % 3) {
+            case 0:
+              s = service.Submit(chunk.front());
+              if (s.ok()) got = 1;
+              break;
+            case 1:
+              s = service.SubmitBatch(chunk);
+              if (s.ok()) got = chunk.size();
+              break;
+            default: {
+              std::size_t accepted = 0;
+              s = service.SubmitBatch(chunk, &accepted);
+              got = accepted;
+              break;
+            }
+          }
+          accepted_total.fetch_add(got, std::memory_order_relaxed);
+          if (s.code() == StatusCode::kFailedPrecondition) return;
+          ASSERT_TRUE(s.ok() || s.code() == StatusCode::kOutOfRange)
+              << s.ToString();
+        }
+      });
+    }
+    std::thread stopper([&] {
+      while (service.EdgesProcessed() < 64) std::this_thread::yield();
+      service.Stop();
+    });
+    for (auto& p : producers) p.join();
+    stopper.join();
+    EXPECT_EQ(service.EdgesProcessed(), accepted_total.load());
+
+    const std::vector<Edge> late = {{0, 1, 1.0, 0}, {1, 2, 1.0, 0}};
+    EXPECT_EQ(service.Submit(late[0]).code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service.SubmitBatch(late).code(),
+              StatusCode::kFailedPrecondition);
+    std::size_t late_accepted = 7;
+    EXPECT_EQ(service.SubmitBatch(late, &late_accepted).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(late_accepted, 0u);
+    EXPECT_EQ(service.EdgesProcessed(), accepted_total.load());
+  }
+}
+
 // Neither the detect_every cadence nor a Drain folds the benign buffer, so
 // on a fully benign stream the detector's max_benign_buffer cap is what
 // bounds it. After the Drain every fed edge is in the graph or the buffer,

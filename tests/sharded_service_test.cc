@@ -198,11 +198,14 @@ TEST(ShardedDetectionServiceTest, SubmitBatchRoutesAcrossShards) {
 
 // RouterScratch property: the batched partition must agree exactly with
 // per-edge routing — same shard per edge, chunk order preserved within a
-// shard. (Boundary weights live on the worker apply path;
-// RoutingPropertyTest in stitching_test.cc covers their exactness.)
+// shard. It goes through the map overload the service uses, at the initial
+// placement (one partition per shard, pid on shard pid). (Boundary weights
+// live on the worker apply path; RoutingPropertyTest in stitching_test.cc
+// covers their exactness.)
 TEST(RouterScratchTest, MatchesPerEdgeRouting) {
   constexpr std::size_t kShards = 4;
   const Partitioner p = HashOfSourcePartitioner();
+  const PartitionMap map(kShards, kShards);
   Rng rng(41);
   std::vector<Edge> edges;
   for (int i = 0; i < 500; ++i) {
@@ -210,7 +213,7 @@ TEST(RouterScratchTest, MatchesPerEdgeRouting) {
   }
 
   RouterScratch scratch;
-  scratch.Partition(p, kShards, edges);
+  scratch.Partition(p, map, kShards, edges);
 
   std::vector<std::vector<Edge>> expected(kShards);
   for (const Edge& e : edges) {
